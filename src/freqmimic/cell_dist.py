@@ -74,6 +74,15 @@ class CellAssignment:
         return iter(self.entries)
 
 
+def _shares(
+    probs: ProbabilityVector | Sequence[Fraction],
+) -> tuple[ProbabilityVector, int, list[int]]:
+    """The validated vector and its cells as integer shares ``nums[k] / den``."""
+    probs = probs if isinstance(probs, ProbabilityVector) else ProbabilityVector(tuple(probs))
+    den = math.lcm(*(p.denominator for p in probs))
+    return probs, den, [p.numerator * (den // p.denominator) for p in probs]
+
+
 def build_cell_sequences(
     probs: ProbabilityVector | Sequence[Fraction], n: int
 ) -> tuple[CellAssignment, list[CumulativeSequence]]:
@@ -83,12 +92,10 @@ def build_cell_sequences(
     to the lowest index.  Deficits are compared in integers over the common
     denominator of the probabilities, so the choice is exact.
     """
-    probs = probs if isinstance(probs, ProbabilityVector) else ProbabilityVector(tuple(probs))
+    probs, den, nums = _shares(probs)
     if n < 0:
         raise ValueError("trial count must be non-negative")
     m = len(probs)
-    den = math.lcm(*(p.denominator for p in probs))
-    nums = [p.numerator * (den // p.denominator) for p in probs]
     counts = [0] * m
     chosen: list[int] = []
     columns: list[list[int]] = [[] for _ in range(m)]
@@ -133,7 +140,7 @@ def validate_cell_table(
     Accepts raw term lists as well, so tables that violate the constraints
     can be diagnosed rather than rejected at construction.
     """
-    probs = probs if isinstance(probs, ProbabilityVector) else ProbabilityVector(tuple(probs))
+    probs, _, _ = _shares(probs)
     tables = [_as_terms(seq) for seq in sequences]
     if len(tables) != len(probs):
         raise ValueError("one sequence per cell is required")
@@ -164,12 +171,10 @@ def discrepancy(
     probs: ProbabilityVector | Sequence[Fraction],
 ) -> Fraction:
     """Exact max over cells and trials of |a_k(t) - t*p_k|."""
-    probs = probs if isinstance(probs, ProbabilityVector) else ProbabilityVector(tuple(probs))
+    probs, den, nums = _shares(probs)
     tables = [_as_terms(seq) for seq in sequences]
     if len(tables) != len(probs):
         raise ValueError("one sequence per cell is required")
-    den = math.lcm(*(p.denominator for p in probs))
-    nums = [p.numerator * (den // p.denominator) for p in probs]
     worst = 0
     for k, table in enumerate(tables):
         for t, a in enumerate(table, 1):
@@ -233,7 +238,7 @@ def cell_operator_realization(
     greedy assignment, then realizes their product on all-source tuples.
     Must agree with ``trials_to_tuples`` on the same assignment.
     """
-    probs = probs if isinstance(probs, ProbabilityVector) else ProbabilityVector(tuple(probs))
+    probs, _, _ = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
     assignment, _ = build_cell_sequences(probs, n)

@@ -158,6 +158,10 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     size = 4 if args.language_size is None else args.language_size
     if size < 1:
         raise ValueError("language size must be positive")
+    if size > closure_ops.MAX_CARRIER:
+        raise closure_ops.CapacityError(
+            f"language size {size} exceeds the limit of {closure_ops.MAX_CARRIER}"
+        )
     verdicts = {name: True for name, _ in _AXIOM_FIELDS}
     checked = 0
     for s in range(1, size + 1):
@@ -180,6 +184,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
+    stats_harness.check_seed(args.seed)
     designed = event_seq.to_binary(freq_seq.canonical_prefix(p, args.n))
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":

@@ -11,7 +11,10 @@ statement tuples for product operators.
 Axiom vocabulary: an operator is a closure operator when it is extensive
 (``Y`` is contained in its image), idempotent, bounded by the carrier,
 monotone, and finitary (the image of ``Y`` is the union of the images of
-the subsets of ``Y``; on a finite carrier this also forces monotonicity).
+the finite subsets of ``Y``).  On a finite carrier ``Y`` is one of its own
+finite subsets, so ``C(Y)`` is that union exactly when every ``C(S)`` with
+``S <= Y`` lies inside ``C(Y)``: finitary and monotone are one relation,
+and ``check_axioms`` reports ``finitary`` equal to ``monotone``.
 """
 
 from __future__ import annotations
@@ -124,14 +127,29 @@ class ExtensionalOperator:
         return self.table[frozenset(subset)]
 
 
+def _power_set(elements: Iterable) -> tuple[list[frozenset], list[int]]:
+    """Subsets indexed by bitmask, and the masks in size-then-rendering order.
+
+    Bit ``i`` stands for the ``i``-th element in rendering order.  Subsets
+    are built by frozenset unions, which reuse the stored element hashes,
+    so no element is hashed again.
+    """
+    ordered = sorted(elements, key=render_element)
+    subsets = [frozenset()]
+    for element in ordered:
+        single = frozenset((element,))
+        subsets += [s | single for s in subsets]
+    bits = [1 << i for i in range(len(ordered))]
+    order = [
+        sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size)
+    ]
+    return subsets, order
+
+
 def all_subsets(elements: Iterable) -> list[frozenset]:
     """All subsets ordered by size, then lexicographically by rendering."""
-    ordered = sorted(elements, key=render_element)
-    out: list[frozenset] = []
-    for size in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, size):
-            out.append(frozenset(combo))
-    return out
+    subsets, order = _power_set(elements)
+    return [subsets[m] for m in order]
 
 
 def extensionalize(op: SourceConditionalOperator, language: Language) -> ExtensionalOperator:
@@ -164,7 +182,8 @@ class AxiomReport:
 
     ``counterexample`` is present exactly when some verdict is false and
     holds the first witnessing subset (or subset pair for monotonicity) in
-    size-then-rendering order.
+    size-then-rendering order.  Finitary and monotone are equivalent on a
+    finite carrier, so ``check_axioms`` reports ``finitary`` as ``monotone``.
     """
 
     extensive_idempotent: bool
@@ -177,95 +196,41 @@ class AxiomReport:
         return self.extensive_idempotent and self.monotone and self.finitary
 
 
-class _MaskView:
-    """Bitmask view of an extensional table for fast exhaustive scans."""
-
-    def __init__(self, ext: ExtensionalOperator):
-        self.elements = sorted(ext.carrier, key=render_element)
-        self.n = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        self.full = (1 << self.n) - 1
-        table = [0] * (1 << self.n)
-        for key, value in ext.table.items():
-            k = 0
-            for e in key:
-                k |= 1 << index[e]
-            v = 0
-            for e in value:
-                v |= 1 << index[e]
-            table[k] = v
-        self.table = table
-        # size-then-rendering order; elements are pre-sorted by rendering,
-        # so comparing ascending bit-position tuples matches it
-        self.masks = sorted(
-            range(1 << self.n), key=lambda m: (bin(m).count("1"), _bit_positions(m))
-        )
-        self.key = lambda m: (bin(m).count("1"), _bit_positions(m))
-
-    def unmask(self, mask: int) -> frozenset:
-        return frozenset(self.elements[i] for i in _bit_positions(mask))
-
-
-def _bit_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _mask_tables(
+    *exts: ExtensionalOperator,
+) -> tuple[list[frozenset], list[int], list[list[int]]]:
+    """``_power_set`` of the shared carrier, and each table as a list of masks."""
+    subsets, order = _power_set(exts[0].carrier)
+    index = {s: m for m, s in enumerate(subsets)}
+    # frozenset() returns a frozenset image as is and freezes a plain set
+    return subsets, order, [[index[frozenset(ext.table[s])] for s in subsets] for ext in exts]
 
 
 def check_axioms(ext: ExtensionalOperator) -> AxiomReport:
     """Exhaustively check the closure axioms over the whole power set."""
-    view = _MaskView(ext)
-    table = view.table
+    subsets, order, (table,) = _mask_tables(ext)
+    return _axiom_report(subsets, order, table)
 
-    ext_ok = True
-    ext_witness = None
-    for mask in view.masks:
-        image = table[mask]
-        if mask & ~image or table[image] != image:
-            ext_ok = False
-            ext_witness = (view.unmask(mask),)
-            break
 
-    mono_ok = True
-    mono_witness = None
-    for mask in view.masks:
-        image = table[mask]
-        rest = view.full & ~mask
-        violated = any(image & ~table[mask | s] for s in _submasks(rest))
-        if violated:
-            supersets = sorted((mask | s for s in _submasks(rest)), key=view.key)
-            bad = next(z for z in supersets if image & ~table[z])
-            mono_ok = False
-            mono_witness = (view.unmask(mask), view.unmask(bad))
-            break
-
-    fin_ok = True
-    fin_witness = None
-    for mask in view.masks:
-        union = 0
-        for sub in _submasks(mask):
-            union |= table[sub]
-        if union != table[mask]:
-            fin_ok = False
-            fin_witness = (view.unmask(mask),)
-            break
-
-    counterexample = ext_witness or mono_witness or fin_witness
-    return AxiomReport(ext_ok, mono_ok, fin_ok, counterexample)
+def _axiom_report(subsets: list[frozenset], order: list[int], table: list[int]) -> AxiomReport:
+    broken = next((y for y in order if y & ~table[y] or table[table[y]] != table[y]), None)
+    # meet[y] is the intersection of the images of every superset of y;
+    # descending order finishes each y | b before y reads it
+    bits = [1 << i for i in range(len(table).bit_length() - 1)]
+    meet = table[:]
+    for y in range(len(table) - 1, -1, -1):
+        for b in bits:
+            if not y & b:
+                meet[y] &= meet[y | b]
+    bad = next((y for y in order if table[y] & ~meet[y]), None)
+    if broken is not None:
+        counterexample = (subsets[broken],)
+    elif bad is not None:
+        z = next(z for z in order if z & bad == bad and table[bad] & ~table[z])
+        counterexample = (subsets[bad], subsets[z])
+    else:
+        counterexample = None
+    return AxiomReport(broken is None, bad is None, bad is None, counterexample)
 
 
 def enumerate_self_maps(language: Language) -> Iterator[ExtensionalOperator]:
@@ -300,19 +265,20 @@ def lub_extensional(e1: ExtensionalOperator, e2: ExtensionalOperator) -> Extensi
     """
     if e1.carrier != e2.carrier:
         raise ValueError("operators must share a carrier")
-    for e in (e1, e2):
-        report = check_axioms(e)
+    subsets, order, (t1, t2) = _mask_tables(e1, e2)
+    for t in (t1, t2):
+        report = _axiom_report(subsets, order, t)
         if not (report.extensive_idempotent and report.monotone):
             raise ValueError("join requires extensive, idempotent, monotone inputs")
     table = {}
-    for subset in all_subsets(e1.carrier):
-        current = subset
+    for mask in order:
+        current = mask
         for _ in range(len(e1.carrier) + 1):
-            advanced = e1.table[e2.table[current]]
+            advanced = t1[t2[current]]
             if advanced == current:
                 break
             current = advanced
-        table[subset] = current
+        table[subsets[mask]] = subsets[current]
     return ExtensionalOperator(e1.carrier, table)
 
 

@@ -54,6 +54,13 @@ def _normal_critical(alpha: float) -> float:
         raise ValueError(f"unsupported alpha: {alpha}") from None
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is a SplitMix64 state, i.e. in [0, 2**64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
     """n seeded pseudo-random trials with success probability p.
 
@@ -67,7 +74,7 @@ def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
         raise ValueError("trial count must be non-negative")
     num, den = p.numerator, p.denominator
     threshold = num << 64
-    state = seed & _MASK64
+    state = check_seed(seed)
     bits = []
     for _ in range(n):
         state = (state + _GAMMA) & _MASK64
@@ -251,6 +258,8 @@ def reports_from_csv(text: str) -> list[TestReport]:
     out = []
     for line in lines[1:]:
         test, stream, statistic, alpha, passed, n, seed, version = line.split(",")
+        if passed not in ("true", "false"):
+            raise ValueError(f"pass must be 'true' or 'false', got {passed!r}")
         out.append(
             TestReport(
                 test=test,

@@ -1,0 +1,290 @@
+"""Differential tests: the bitmask axiom checker against brute force.
+
+The oracle below is the original exhaustive checker, kept verbatim: three
+separate scans over the power set (extensive/idempotent, monotone by
+superset enumeration, finitary by submask unions), O(3^n) in the carrier
+size.  ``lub_extensional`` is checked against the original frozenset
+fixpoint.  Every report, counterexample included, must match.
+"""
+
+import itertools
+from typing import Iterator
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freqmimic.closure_ops import (
+    AxiomReport,
+    ExtensionalOperator,
+    SourceConditionalOperator,
+    all_subsets,
+    check_axioms,
+    enumerate_self_maps,
+    extensionalize,
+    extensionalize_product,
+    lub_extensional,
+    render_element,
+)
+from freqmimic.language_core import event, non_event, prefix_language, source_statement
+
+
+class _MaskView:
+    """Bitmask view of an extensional table for fast exhaustive scans."""
+
+    def __init__(self, ext: ExtensionalOperator):
+        self.elements = sorted(ext.carrier, key=render_element)
+        self.n = len(self.elements)
+        index = {e: i for i, e in enumerate(self.elements)}
+        self.full = (1 << self.n) - 1
+        table = [0] * (1 << self.n)
+        for key, value in ext.table.items():
+            k = 0
+            for e in key:
+                k |= 1 << index[e]
+            v = 0
+            for e in value:
+                v |= 1 << index[e]
+            table[k] = v
+        self.table = table
+        # size-then-rendering order; elements are pre-sorted by rendering,
+        # so comparing ascending bit-position tuples matches it
+        self.masks = sorted(
+            range(1 << self.n), key=lambda m: (bin(m).count("1"), _bit_positions(m))
+        )
+        self.key = lambda m: (bin(m).count("1"), _bit_positions(m))
+
+    def unmask(self, mask: int) -> frozenset:
+        return frozenset(self.elements[i] for i in _bit_positions(mask))
+
+
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def oracle_check_axioms(ext: ExtensionalOperator) -> AxiomReport:
+    """Exhaustively check the closure axioms over the whole power set."""
+    view = _MaskView(ext)
+    table = view.table
+
+    ext_ok = True
+    ext_witness = None
+    for mask in view.masks:
+        image = table[mask]
+        if mask & ~image or table[image] != image:
+            ext_ok = False
+            ext_witness = (view.unmask(mask),)
+            break
+
+    mono_ok = True
+    mono_witness = None
+    for mask in view.masks:
+        image = table[mask]
+        rest = view.full & ~mask
+        violated = any(image & ~table[mask | s] for s in _submasks(rest))
+        if violated:
+            supersets = sorted((mask | s for s in _submasks(rest)), key=view.key)
+            bad = next(z for z in supersets if image & ~table[z])
+            mono_ok = False
+            mono_witness = (view.unmask(mask), view.unmask(bad))
+            break
+
+    fin_ok = True
+    fin_witness = None
+    for mask in view.masks:
+        union = 0
+        for sub in _submasks(mask):
+            union |= table[sub]
+        if union != table[mask]:
+            fin_ok = False
+            fin_witness = (view.unmask(mask),)
+            break
+
+    counterexample = ext_witness or mono_witness or fin_witness
+    return AxiomReport(ext_ok, mono_ok, fin_ok, counterexample)
+
+
+def oracle_lub_extensional(e1: ExtensionalOperator, e2: ExtensionalOperator) -> ExtensionalOperator:
+    """Least upper bound of two closures by alternating-image fixpoints."""
+    if e1.carrier != e2.carrier:
+        raise ValueError("operators must share a carrier")
+    for e in (e1, e2):
+        report = oracle_check_axioms(e)
+        if not (report.extensive_idempotent and report.monotone):
+            raise ValueError("join requires extensive, idempotent, monotone inputs")
+    table = {}
+    for subset in oracle_all_subsets(e1.carrier):
+        current = subset
+        for _ in range(len(e1.carrier) + 1):
+            advanced = e1.table[e2.table[current]]
+            if advanced == current:
+                break
+            current = advanced
+        table[subset] = current
+    return ExtensionalOperator(e1.carrier, table)
+
+
+def oracle_all_subsets(elements) -> list[frozenset]:
+    """All subsets ordered by size, then lexicographically by rendering."""
+    ordered = sorted(elements, key=render_element)
+    out: list[frozenset] = []
+    for size in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, size):
+            out.append(frozenset(combo))
+    return out
+
+
+# Strategies build tables as masks over the carrier sorted by rendering,
+# then convert them to frozenset tables.
+
+
+def _operator(n: int, table: list[int]) -> ExtensionalOperator:
+    elements = sorted(prefix_language(n).statements, key=render_element)
+
+    def unmask(mask):
+        return frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+
+    return ExtensionalOperator(
+        frozenset(elements), {unmask(m): unmask(v) for m, v in enumerate(table)}
+    )
+
+
+def _closure_table(size: int, family: set[int]) -> list[int]:
+    """Smallest member of ``family`` above each mask; the full mask is added."""
+    full = (1 << size) - 1
+    closed = family | {full}
+    table = []
+    for mask in range(1 << size):
+        image = full
+        for c in closed:
+            if c & mask == mask:
+                image &= c
+        table.append(image)
+    return table
+
+
+@st.composite
+def _random_tables(draw):
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    return n, draw(st.lists(st.integers(0, full), min_size=1 << n, max_size=1 << n))
+
+
+@st.composite
+def _extensive_tables(draw):
+    n, table = draw(_random_tables())
+    return n, [m | x for m, x in enumerate(table)]
+
+
+@st.composite
+def _closures(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 6))
+    family = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+    return n, _closure_table(n, family)
+
+
+@st.composite
+def _planted_violations(draw):
+    n, table = draw(_closures())
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        # drop one premise from a non-empty subset's image
+        y = draw(st.integers(1, full))
+        bit = draw(st.sampled_from([1 << i for i in range(n) if y >> i & 1]))
+        table[y] &= ~bit
+    else:
+        # make a subset's image leave the image of one of its supersets
+        pairs = [
+            (y, z)
+            for z in range(full + 1)
+            if table[z] != full
+            for y in range(full + 1)
+            if y & z == y != z
+        ]
+        if pairs:
+            y, z = draw(st.sampled_from(pairs))
+            outside = full & ~table[z]
+            table[y] |= 1 << draw(
+                st.sampled_from([i for i in range(n) if outside >> i & 1])
+            )
+    return n, table
+
+
+_TABLES = st.one_of(_random_tables(), _extensive_tables(), _closures(), _planted_violations())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TABLES)
+def test_check_axioms_matches_oracle(case):
+    ext = _operator(*case)
+    assert check_axioms(ext) == oracle_check_axioms(ext)
+
+
+def test_all_subsets_matches_oracle():
+    G = source_statement()
+    carriers = [prefix_language(size).statements for size in range(1, 8)]
+    carriers.append({(G, event(1)), (G, non_event(1)), (event(2), G)})
+    for carrier in carriers:
+        assert all_subsets(carrier) == oracle_all_subsets(carrier)
+
+
+def test_plain_set_images_match_oracle():
+    # the table type accepts mutable set images; the checker must too
+    carrier = prefix_language(3).statements
+    for ext in (_operator(3, _closure_table(3, {1, 3})), _operator(3, [0] * 8)):
+        loose = ExtensionalOperator(carrier, {k: set(v) for k, v in ext.table.items()})
+        assert check_axioms(loose) == oracle_check_axioms(ext)
+
+
+def test_all_two_statement_self_maps_match_oracle():
+    maps = list(enumerate_self_maps(prefix_language(2)))
+    assert len(maps) == 256
+    for ext in maps:
+        assert check_axioms(ext) == oracle_check_axioms(ext)
+
+
+def test_family_and_product_operators_match_oracle():
+    G = source_statement()
+    for size in range(1, 6):
+        language = prefix_language(size)
+        for attachments in all_subsets(language.statements):
+            ext = extensionalize(SourceConditionalOperator(attachments, G), language)
+            assert check_axioms(ext) == oracle_check_axioms(ext)
+    language = prefix_language(3)
+    ops = [
+        SourceConditionalOperator(frozenset({event(1)}), G),
+        SourceConditionalOperator(frozenset({non_event(1)}), G),
+    ]
+    product = extensionalize_product(ops, [language, language])
+    assert check_axioms(product) == oracle_check_axioms(product)
+
+
+@st.composite
+def _closure_pairs(draw):
+    n = draw(st.integers(1, 6))
+    _, t1 = draw(_closures(n))
+    _, t2 = draw(_closures(n))
+    return _operator(n, t1), _operator(n, t2)
+
+
+@settings(deadline=None)
+@given(_closure_pairs())
+def test_lub_matches_oracle(pair):
+    e1, e2 = pair
+    assert lub_extensional(e1, e2).table == oracle_lub_extensional(e1, e2).table

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,14 @@ def test_check_axioms_flags_are_exclusive(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_axioms_rejects_oversized_language_before_work(capsys):
+    start = time.perf_counter()
+    assert main(["check-axioms", "--family", "--language-size", "13"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error:" in err and str(closure_ops.MAX_CARRIER) in err
+
+
 def test_check_axioms_counterexample_exits_one(capsys, monkeypatch):
     broken = closure_ops.AxiomReport(
         extensive_idempotent=True,
@@ -185,6 +194,18 @@ def test_compare_json(capsys):
     ]
     assert rows[2]["seed"] == 42
     assert rows[2]["prng_version"] == "splitmix64-v1"
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_compare_rejects_out_of_range_seed(capsys, seed):
+    assert main(["compare", "--p", "1/2", "--n", "100", "--seed", str(seed)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_compare_accepts_seed_range_edges(capsys, seed):
+    assert main(["compare", "--p", "1/2", "--n", "100", "--seed", str(seed)]) == 0
+    assert f",{seed},splitmix64-v1" in capsys.readouterr().out
 
 
 def test_compare_rejects_tiny_n(capsys):

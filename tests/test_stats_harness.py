@@ -58,6 +58,14 @@ def test_prng_frozen_prefix_seed_42():
     assert got.bits == (0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1)
 
 
+def test_prng_seed_range_edges():
+    assert len(bernoulli_prng(F(1, 2), 8, 0)) == 8
+    assert len(bernoulli_prng(F(1, 2), 8, (1 << 64) - 1)) == 8
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            bernoulli_prng(F(1, 2), 8, seed)
+
+
 def test_prng_one_count_within_six_sigma():
     got = bernoulli_prng(F(1, 2), 10**5, 42)
     assert got.ones == 50064
@@ -213,3 +221,15 @@ def test_reports_csv_round_trip_exact():
 def test_reports_from_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         reports_from_csv("nope\n")
+
+
+@pytest.mark.parametrize("field", ["TRUE", "maybe", ""])
+def test_reports_from_csv_rejects_non_boolean_pass(field):
+    designed = to_binary(canonical_prefix(F(1, 2), 100))
+    text = reports_csv(compare(designed, F(1, 2), 42, 0.01))
+    header, first, *rest = text.splitlines()
+    fields = first.split(",")
+    assert fields[4] == "true"
+    fields[4] = field
+    with pytest.raises(ValueError):
+        reports_from_csv("\n".join([header, ",".join(fields), *rest]) + "\n")
