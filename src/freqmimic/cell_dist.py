@@ -8,8 +8,6 @@ coordinatewise product of per-cell source-conditional operators.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,16 +257,22 @@ def cell_operator_realization(
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
     """CSV with columns t, assigned_cell, a_1, ..., a_m."""
     m = len(sequences)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)])
-    for t, cell in enumerate(assignment.entries, 1):
-        writer.writerow([t, cell] + [seq.terms[t - 1] for seq in sequences])
-    return out.getvalue()
+    header = ",".join(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)])
+    rows = zip(
+        range(1, len(assignment) + 1),
+        assignment.entries,
+        *(seq.terms for seq in sequences),
+        strict=True,
+    )
+    return header + "\n" + "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
     """Parse ``cell_csv`` output back into an assignment and cell columns."""
+    # Imported here so that ``import freqmimic`` does not load csv.
+    import csv
+    import io
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["t", "assigned_cell"]:
         raise ValueError("missing cell CSV header")

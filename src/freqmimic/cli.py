@@ -2,8 +2,11 @@
 
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
-are byte-identical.  Exit codes: 0 on success, 2 on usage errors, 1 when
-an exhaustive invariant check finds a counterexample.
+are byte-identical.  gen-seq and gen-nonconv write their rows as they are
+generated and compare counts both streams as they are drawn, so their
+memory does not grow with --n; flags are checked before the first row.
+Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive
+invariant check finds a counterexample.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from . import cell_dist, closure_ops, event_seq, freq_seq, language_core, stats_harness
 
@@ -91,28 +95,22 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _emit_sequence(seq: freq_seq.CumulativeSequence, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(freq_seq.sequence_csv(seq))
-    else:
-        for row in freq_seq.sequence_json_rows(seq):
-            print(json.dumps(row))
+def _emit_rows(pairs: Iterable[tuple[int, int]], fmt: str) -> None:
+    write = sys.stdout.write
+    for chunk in freq_seq.sequence_chunks(pairs, fmt):
+        write(chunk)
 
 
 def _cmd_gen_seq(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
-    seq = freq_seq.canonical_prefix(p, args.n)
-    if args.m is not None:
-        seq = freq_seq.truncate_freeze(seq, args.m, args.n)
-    _emit_sequence(seq, args.format)
+    _emit_rows(freq_seq.canonical_pairs(p, args.n, args.m), args.format)
     return 0
 
 
 def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
     low = freq_seq.parse_probability(args.low)
     high = freq_seq.parse_probability(args.high)
-    seq = freq_seq.build_nonconvergent(low, high, args.n)
-    _emit_sequence(seq, args.format)
+    _emit_rows(freq_seq.nonconvergent_pairs(low, high, args.n), args.format)
     return 0
 
 
@@ -185,7 +183,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
     stats_harness.check_seed(args.seed)
-    designed = event_seq.to_binary(freq_seq.canonical_prefix(p, args.n))
+    terms = map(itemgetter(1), freq_seq.canonical_pairs(p, args.n))
+    designed = stats_harness.count_bits(event_seq.differences(terms))
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":
         sys.stdout.write(stats_harness.reports_csv(reports))

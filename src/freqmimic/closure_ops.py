@@ -165,17 +165,6 @@ def extensionalize(op: SourceConditionalOperator, language: Language) -> Extensi
     return ExtensionalOperator(carrier, table)
 
 
-def identity_extensional(carrier: Iterable) -> ExtensionalOperator:
-    subsets = all_subsets(frozenset(carrier))
-    return ExtensionalOperator(frozenset(carrier), {s: s for s in subsets})
-
-
-def top_extensional(carrier: Iterable) -> ExtensionalOperator:
-    """The closure mapping every subset to the whole carrier."""
-    carrier = frozenset(carrier)
-    return ExtensionalOperator(carrier, {s: carrier for s in all_subsets(carrier)})
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Verdicts from an exhaustive closure-axiom check.
@@ -342,13 +331,3 @@ def extensionalize_product(
         )
     table = {subset: product_apply(ops, subset) for subset in all_subsets(carrier)}
     return ExtensionalOperator(carrier, table)
-
-
-def render_table(ext: ExtensionalOperator) -> str:
-    """Golden-file rendering: one ``{...} -> {...}`` line per subset."""
-    lines = []
-    for subset in all_subsets(ext.carrier):
-        lines.append(
-            f"{render_statement_set(subset)} -> {render_statement_set(ext.table[subset])}"
-        )
-    return "\n".join(lines)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator
 
-from .closure_ops import SourceConditionalOperator, join_family, realize
+from .closure_ops import SourceConditionalOperator, realize
 from .freq_seq import CumulativeSequence, canonical_prefix
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
@@ -71,17 +72,18 @@ class LabeledEventSequence:
         ]
 
 
+def differences(terms: Iterable[int]) -> Iterator[int]:
+    """Lazy difference sequence a(j) - a(j-1) with a(0) = 0, in one pass."""
+    current, previous = itertools.tee(terms)
+    return map(sub, current, itertools.chain((0,), previous))
+
+
 def to_binary(seq: CumulativeSequence) -> BinaryTrialSequence:
     """Difference sequence: bit j = a(j) - a(j-1) with a(0) = 0.
 
     Prefixes are stable: the first m bits depend only on the first m terms.
     """
-    bits = []
-    prev = 0
-    for term in seq.terms:
-        bits.append(term - prev)
-        prev = term
-    return BinaryTrialSequence(tuple(bits))
+    return BinaryTrialSequence(tuple(differences(seq.terms)))
 
 
 def from_binary(bits: Iterable[int]) -> CumulativeSequence:
@@ -106,24 +108,6 @@ def trace_operator(p: Fraction | int, n: int) -> SourceConditionalOperator:
     """
     labeled = label_events(to_binary(canonical_prefix(p, n)))
     return SourceConditionalOperator(frozenset(labeled.entries), source_statement())
-
-
-def singleton_operators(p: Fraction | int, n: int) -> list[SourceConditionalOperator]:
-    """One operator per trial, each attaching a single labeled outcome."""
-    labeled = label_events(to_binary(canonical_prefix(p, n)))
-    source = source_statement()
-    return [
-        SourceConditionalOperator(frozenset({entry}), source) for entry in labeled.entries
-    ]
-
-
-def fold_singletons(p: Fraction | int, n: int) -> SourceConditionalOperator:
-    """Join all single-outcome operators; must agree with ``trace_operator``."""
-    source = source_statement()
-    combined = SourceConditionalOperator(frozenset(), source)
-    for op in singleton_operators(p, n):
-        combined = join_family(combined, op)
-    return combined
 
 
 def realize_trace(p: Fraction | int, n: int) -> LabeledEventSequence:

@@ -11,10 +11,10 @@ frequencies that never converge.  All core arithmetic is exact: p is a
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import floordiv, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 Probability = Fraction
@@ -41,19 +41,25 @@ class FormCheck(NamedTuple):
     violation_index: int | None  # 1-based index of the first bad term
 
 
+def _first_bad_step(terms: list[int], prev: int = 0) -> int | None:
+    """0-based index of the first term not 0 or 1 above its predecessor.
+
+    ``prev`` is the term before ``terms[0]``; a(0) = 0 for a whole sequence.
+    """
+    steps = list(map(sub, terms, chain((prev,), terms)))
+    if not steps or (min(steps) >= 0 and max(steps) <= 1):
+        return None
+    return next(i for i, step in enumerate(steps) if not 0 <= step <= 1)
+
+
+def _form_error(index: int) -> ValueError:
+    return ValueError(f"not a cumulative-success sequence at index {index}")
+
+
 def check_cumulative_form(terms: Iterable[int]) -> FormCheck:
     """Check the cumulative-success constraints: a(1) in {0, 1}, unit steps."""
-    terms = list(terms)
-    if terms:
-        if not 0 <= terms[0] <= 1:
-            return FormCheck(False, 1)
-        prev = terms[0]
-        for i in range(1, len(terms)):
-            step = terms[i] - prev
-            if step < 0 or step > 1:
-                return FormCheck(False, i + 1)
-            prev = terms[i]
-    return FormCheck(True, None)
+    bad = _first_bad_step(list(terms))
+    return FormCheck(True, None) if bad is None else FormCheck(False, bad + 1)
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class CumulativeSequence:
         object.__setattr__(self, "terms", tuple(self.terms))
         ok, index = check_cumulative_form(self.terms)
         if not ok:
-            raise ValueError(f"not a cumulative-success sequence at index {index}")
+            raise _form_error(index)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -90,20 +96,38 @@ def frequency_points(seq: CumulativeSequence) -> list[FrequencyPoint]:
     return [FrequencyPoint(k, a) for k, a in enumerate(seq.terms, 1)]
 
 
-def canonical_prefix(p: Fraction | int, n: int) -> CumulativeSequence:
-    """First n terms of the canonical sequence tracking probability p.
+def canonical_pairs(
+    p: Fraction | int, n: int, m: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """(k, a(k)) for k = 1..n of the canonical sequence tracking p.
 
     For p < 1 term k is the unique j with j/k <= p < (j+1)/k, which is
     floor(k*p); this covers p = 0.  For p = 1 no such half-open bracket
-    exists, so the all-success sequence a(k) = k is used directly.
+    exists and the all-success sequence a(k) = k = floor(k*p) is used.
+    With a freeze index m the terms after trial m hold a(m), as
+    ``truncate_freeze`` does.  The arguments are checked here, before the
+    first pair is produced.
     """
     p = check_probability(p)
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    if p == 1:
-        return CumulativeSequence(tuple(range(1, n + 1)))
+    if m is not None and not 1 <= m <= n:
+        raise ValueError("freeze index out of range")
     num, den = p.numerator, p.denominator
-    return CumulativeSequence(tuple((k * num) // den for k in range(1, n + 1)))
+    trials = range(1, (n if m is None else m) + 1)
+    pairs = zip(trials, map(floordiv, map(mul, trials, repeat(num)), repeat(den)))
+    if m is None:
+        return pairs
+    return chain(pairs, zip(range(m + 1, n + 1), repeat(m * num // den)))
+
+
+def _terms(pairs: Iterator[tuple[int, int]]) -> CumulativeSequence:
+    return CumulativeSequence(tuple(map(itemgetter(1), pairs)))
+
+
+def canonical_prefix(p: Fraction | int, n: int) -> CumulativeSequence:
+    """First n terms of the canonical sequence tracking probability p."""
+    return _terms(canonical_pairs(p, n))
 
 
 class DeviationCheck(NamedTuple):
@@ -184,14 +208,17 @@ def truncate_freeze(seq: CumulativeSequence, m: int, n: int) -> CumulativeSequen
     return CumulativeSequence(terms)
 
 
-def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequence:
-    """Oscillating sequence whose frequency never settles.
+def nonconvergent_pairs(
+    low: Fraction, high: Fraction, n: int
+) -> Iterator[tuple[int, int]]:
+    """(k, a(k)) for k = 1..n of a sequence whose frequency never settles.
 
     Two phases alternate: an up phase adds a success each trial until the
     running frequency reaches ``high`` (equality counts as arrival), then a
     down phase holds the count until the frequency falls to ``low``.  The
     sequence starts at a(1) = 0, where the down phase has already arrived,
-    so counting begins immediately.
+    so counting begins immediately.  The arguments are checked here, before
+    the first pair is produced.
     """
     low = check_probability(low)
     high = check_probability(high)
@@ -199,21 +226,28 @@ def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequ
         raise ValueError("low bound must be strictly below high bound")
     if n < 1:
         raise ValueError("prefix length must be positive")
-    low_num, low_den = low.numerator, low.denominator
-    high_num, high_den = high.numerator, high.denominator
-    terms = [0]
+    return _oscillate(low.numerator, low.denominator, high.numerator, high.denominator, n)
+
+
+def _oscillate(
+    low_num: int, low_den: int, high_num: int, high_den: int, n: int
+) -> Iterator[tuple[int, int]]:
+    yield 1, 0
     a = 0
     up = True  # 0/1 <= low holds for any low >= 0
     for k in range(2, n + 1):
         if up:
             a += 1
-        terms.append(a)
-        if up:
             if a * high_den >= k * high_num:
                 up = False
         elif a * low_den <= k * low_num:
             up = True
-    return CumulativeSequence(terms)
+        yield k, a
+
+
+def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequence:
+    """The first n terms of ``nonconvergent_pairs(low, high, n)``."""
+    return _terms(nonconvergent_pairs(low, high, n))
 
 
 def count_phase_switches(seq: CumulativeSequence) -> int:
@@ -230,20 +264,74 @@ def count_phase_switches(seq: CumulativeSequence) -> int:
 
 
 CSV_HEADER = ("n", "a_n", "freq_num", "freq_den")
+_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+ROWS_PER_CHUNK = 16384
+
+
+def csv_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
+    """CSV lines ``n,a_n,freq_num,freq_den``; for ints the bytes ``csv.writer`` writes."""
+    return [f"{k},{a},{a},{k}\n" for k, a in pairs]
+
+
+def json_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
+    """JSON lines; for ints the bytes ``json.dumps`` writes for ``sequence_json_rows``."""
+    return [f'{{"n": {k}, "a": {a}, "freq": [{a}, {k}]}}\n' for k, a in pairs]
+
+
+def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
+    """Render (k, a(k)) pairs as CSV (header first) or JSON lines, a chunk at a time.
+
+    Each chunk is checked before it is rendered: a(k) - a(k-1) must be 0 or
+    1 with a(0) = 0, and a violation raises the error ``CumulativeSequence``
+    raises, so a stream is checked exactly as the materialized sequence is.
+    """
+    render = csv_rows if fmt == "csv" else json_rows
+    if fmt == "csv":
+        yield _CSV_HEADER_LINE
+    pairs = iter(pairs)
+    done = prev = 0
+    while chunk := list(islice(pairs, ROWS_PER_CHUNK)):
+        terms = list(map(itemgetter(1), chunk))
+        bad = _first_bad_step(terms, prev)
+        if bad is not None:
+            raise _form_error(done + bad + 1)
+        done += len(chunk)
+        prev = terms[-1]
+        yield "".join(render(chunk))
 
 
 def sequence_csv(seq: CumulativeSequence) -> str:
     """CSV with columns n, a_n, freq_num, freq_den (frequency unreduced)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for k, a in enumerate(seq.terms, 1):
-        writer.writerow((k, a, a, k))
-    return out.getvalue()
+    return _CSV_HEADER_LINE + "".join(csv_rows(enumerate(seq.terms, 1)))
 
 
 def sequence_from_csv(text: str) -> CumulativeSequence:
-    """Parse ``sequence_csv`` output back into a sequence, checking columns."""
+    """Parse ``sequence_csv`` output back into a sequence, checking columns.
+
+    Text exactly as ``sequence_csv`` writes it (every line ``k,a,a,k`` with
+    ASCII-digit ``a``) is read by re-rendering its ``a`` column and comparing;
+    anything else goes through ``csv`` in ``_sequence_from_csv_slow``, so the
+    inputs accepted, the results and the errors are those of the csv reader.
+    """
+    if text.startswith(_CSV_HEADER_LINE):
+        body = text[len(_CSV_HEADER_LINE):]
+        column = body.split(",")[1::3]
+        digits = "".join(column)
+        if (
+            digits.isascii()
+            and digits.isdigit()
+            and all(column)
+            and "".join(csv_rows(enumerate(column, 1))) == body
+        ):
+            return CumulativeSequence(tuple(map(int, column)))
+    return _sequence_from_csv_slow(text)
+
+
+def _sequence_from_csv_slow(text: str) -> CumulativeSequence:
+    # Imported here so that ``import freqmimic`` does not load csv.
+    import csv
+    import io
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing sequence CSV header")

@@ -48,6 +48,18 @@ class Statement:
                 raise ValueError(f"{self.kind.value} statement requires a label")
             if not isinstance(self.label, int) or self.label < 1:
                 raise ValueError("statement labels are positive integers")
+        # Hashed once: every set lookup in the operator layer hashes statements.
+        # Equal to the dataclass hash((kind, label)), since an Enum member hashes
+        # as its name, so set iteration order is unchanged.
+        object.__setattr__(self, "_hash", hash((self.kind._name_, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: the cached hash depends on this process's
+        # string-hash seed and must not travel in a pickle.
+        return (Statement, (self.kind, self.label))
 
     def __str__(self) -> str:
         if self.kind is StatementKind.SOURCE:

@@ -19,7 +19,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, islice
+from operator import countOf, ne
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .event_seq import BinaryTrialSequence
 from .freq_seq import check_probability
@@ -61,29 +63,72 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
-    """n seeded pseudo-random trials with success probability p.
+def prng_bits(p: Fraction | int, n: int, seed: int) -> Iterator[int]:
+    """n seeded pseudo-random trials with success probability p, lazily.
 
     Each SplitMix64 output z (uniform over [0, 2**64)) yields a success
     exactly when z / 2**64 < p, decided by the integer comparison
     z * p.denominator < p.numerator << 64, so the draw is exact: p = 0
-    never succeeds and p = 1 always does.
+    never succeeds and p = 1 always does.  The arguments are checked here,
+    before the first trial is drawn.
     """
     p = check_probability(p)
     if n < 0:
         raise ValueError("trial count must be non-negative")
-    num, den = p.numerator, p.denominator
-    threshold = num << 64
-    state = check_seed(seed)
-    bits = []
+    return _splitmix64_bits(p.numerator << 64, p.denominator, n, check_seed(seed))
+
+
+def _splitmix64_bits(threshold: int, den: int, n: int, state: int) -> Iterator[int]:
     for _ in range(n):
         state = (state + _GAMMA) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         z ^= z >> 31
-        bits.append(1 if z * den < threshold else 0)
-    return BinaryTrialSequence(tuple(bits))
+        yield 1 if z * den < threshold else 0
+
+
+def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
+    """The trials of ``prng_bits(p, n, seed)`` as a sequence."""
+    return BinaryTrialSequence(tuple(prng_bits(p, n, seed)))
+
+
+class BitCounts(NamedTuple):
+    """What the frequency and runs tests read from a 0/1 stream."""
+
+    n: int
+    ones: int
+    runs: int  # maximal blocks of equal outcomes; 0 for an empty stream
+
+
+_BITS_PER_CHUNK = 65536
+
+
+def count_bits(bits: Iterable[int]) -> BitCounts:
+    """Trials, ones and runs of a 0/1 stream in one pass and bounded memory.
+
+    Raises the error ``BinaryTrialSequence`` raises for an outcome other
+    than 0 or 1.
+    """
+    bits = iter(bits)
+    n = ones = changes = 0
+    prev = None
+    while chunk := list(islice(bits, _BITS_PER_CHUNK)):
+        chunk_ones = countOf(chunk, 1)
+        if chunk_ones + countOf(chunk, 0) != len(chunk):
+            bad = next(i for i, bit in enumerate(chunk) if bit not in (0, 1))
+            raise ValueError(f"trial {n + bad + 1} outcome must be 0 or 1")
+        if prev is None:
+            prev = chunk[0]
+        changes += countOf(map(ne, chunk, chain((prev,), chunk)), True)
+        n += len(chunk)
+        ones += chunk_ones
+        prev = chunk[-1]
+    return BitCounts(n, ones, changes + 1 if n else 0)
+
+
+def _counts(bits: BinaryTrialSequence | BitCounts) -> BitCounts:
+    return bits if isinstance(bits, BitCounts) else count_bits(bits.bits)
 
 
 @dataclass(frozen=True)
@@ -118,14 +163,14 @@ class TestReport:
 
 
 def frequency_test(
-    bits: BinaryTrialSequence,
+    bits: BinaryTrialSequence | BitCounts,
     p: Fraction | int,
     alpha: float,
     stream: str = "designed",
 ) -> TestReport:
     """One-proportion z-test: z = (x - n*p) / sqrt(n*p*(1-p))."""
     p = check_probability(p)
-    n = len(bits)
+    n = bits.n if isinstance(bits, BitCounts) else len(bits)
     if n < 30:
         raise ValueError("frequency test needs at least 30 trials")
     if p == 0 or p == 1:
@@ -137,23 +182,20 @@ def frequency_test(
 
 
 def runs_test(
-    bits: BinaryTrialSequence, alpha: float, stream: str = "designed"
+    bits: BinaryTrialSequence | BitCounts, alpha: float, stream: str = "designed"
 ) -> TestReport:
     """Wald-Wolfowitz runs test against the exchangeable null.
 
     With n0 zeros and n1 ones the null run count has mean 2*n0*n1/n + 1
     and variance 2*n0*n1*(2*n0*n1 - n) / (n^2 * (n-1)).
     """
-    n = len(bits)
+    n, n1, runs = _counts(bits)
     if n < 30:
         raise ValueError("runs test needs at least 30 trials")
-    n1 = bits.ones
     n0 = n - n1
     if n0 == 0 or n1 == 0:
         raise ValueError("runs test needs both outcomes present")
     crit = _normal_critical(alpha)
-    seq = bits.bits
-    runs = 1 + sum(1 for i in range(1, n) if seq[i] != seq[i - 1])
     pairs = 2 * n0 * n1
     mean = Fraction(pairs, n) + 1
     variance = Fraction(pairs * (pairs - n), n * n * (n - 1))
@@ -198,7 +240,7 @@ def chi_square_cells(
 
 
 def compare(
-    designed: BinaryTrialSequence,
+    designed: BinaryTrialSequence | BitCounts,
     p: Fraction | int,
     seed: int,
     alpha: float,
@@ -207,10 +249,12 @@ def compare(
 
     Returns four reports in fixed order: frequency then runs for the
     designed stream, then the same pair for the generator stream, which
-    carries the seed and generator version.
+    carries the seed and generator version.  The generator stream is
+    counted as it is drawn, never held.
     """
     p = check_probability(p)
-    generated = bernoulli_prng(p, len(designed), seed)
+    designed = _counts(designed)
+    generated = count_bits(prng_bits(p, designed.n, seed))
     tagged = [
         frequency_test(generated, p, alpha, stream="prng"),
         runs_test(generated, alpha, stream="prng"),
@@ -232,23 +276,13 @@ REPORT_CSV_HEADER = (
 
 
 def reports_csv(reports: Sequence[TestReport]) -> str:
-    lines = [",".join(REPORT_CSV_HEADER)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    r.test,
-                    r.stream,
-                    repr(r.statistic),
-                    repr(r.alpha),
-                    "true" if r.passed else "false",
-                    str(r.n),
-                    "" if r.seed is None else str(r.seed),
-                    "" if r.prng_version is None else r.prng_version,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        f"{r.test},{r.stream},{r.statistic!r},{r.alpha!r},"
+        f"{'true' if r.passed else 'false'},{r.n},"
+        f"{'' if r.seed is None else r.seed},{r.prng_version or ''}\n"
+        for r in reports
+    ]
+    return ",".join(REPORT_CSV_HEADER) + "\n" + "".join(rows)
 
 
 def reports_from_csv(text: str) -> list[TestReport]:

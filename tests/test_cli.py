@@ -56,6 +56,44 @@ def test_gen_seq_freeze_index(capsys):
     assert rows[7] == {"n": 8, "a": 2, "freq": [2, 8]}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "8", "--m", "0"), "freeze index out of range"),
+        (("--n", "8", "--m", "9"), "freeze index out of range"),
+        (("--n", "-1"), "prefix length must be non-negative"),
+        (("--n", "-1", "--m", "3"), "prefix length must be non-negative"),
+    ],
+)
+def test_gen_seq_rejects_bad_lengths(capsys, argv, message):
+    assert main(["gen-seq", "--p", "1/2", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("gen-seq", "--p", "1/2", "--n", "1000000000", "--m", "0"),
+        ("gen-seq", "--p", "1/2", "--n", "1000000000", "--m", "1000000001"),
+        ("gen-nonconv", "--low", "1/2", "--high", "1/3", "--n", "1000000000"),
+    ],
+)
+def test_bad_flags_are_rejected_before_generation(capsys, verb):
+    start = time.perf_counter()
+    assert main(list(verb)) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_nonconv_rejects_empty_prefix(capsys):
+    assert main(["gen-nonconv", "--low", "1/3", "--high", "1/2", "--n", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: prefix length must be positive\n"
+
+
 def test_gen_nonconv(capsys):
     assert main(["gen-nonconv", "--low", "1/3", "--high", "1/2",
                  "--n", "6"]) == 0

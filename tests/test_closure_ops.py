@@ -13,7 +13,6 @@ from freqmimic.closure_ops import (
     enumerate_self_maps,
     extensionalize,
     extensionalize_product,
-    identity_extensional,
     is_axiomless,
     join_family,
     lub_extensional,
@@ -21,8 +20,7 @@ from freqmimic.closure_ops import (
     product_apply,
     realize,
     realize_product,
-    render_table,
-    top_extensional,
+    render_statement_set,
 )
 from freqmimic.language_core import (
     event,
@@ -34,6 +32,27 @@ from freqmimic.language_core import (
 )
 
 G = source_statement()
+
+
+def identity_extensional(carrier):
+    subsets = all_subsets(frozenset(carrier))
+    return ExtensionalOperator(frozenset(carrier), {s: s for s in subsets})
+
+
+def top_extensional(carrier):
+    """The closure mapping every subset to the whole carrier."""
+    carrier = frozenset(carrier)
+    return ExtensionalOperator(carrier, {s: carrier for s in all_subsets(carrier)})
+
+
+def render_table(ext):
+    """Golden-file rendering: one ``{...} -> {...}`` line per subset."""
+    lines = []
+    for subset in all_subsets(ext.carrier):
+        lines.append(
+            f"{render_statement_set(subset)} -> {render_statement_set(ext.table[subset])}"
+        )
+    return "\n".join(lines)
 
 
 def family(*attachments):

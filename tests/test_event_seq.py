@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqmimic.closure_ops import canonical_form, realize
+from freqmimic.closure_ops import (
+    SourceConditionalOperator,
+    canonical_form,
+    join_family,
+    realize,
+)
 from freqmimic.event_seq import (
     BinaryTrialSequence,
     LabeledEventSequence,
-    fold_singletons,
     from_binary,
     label_events,
     realize_trace,
-    singleton_operators,
     to_binary,
     trace_operator,
 )
@@ -20,6 +23,24 @@ from freqmimic.freq_seq import canonical_prefix, truncate_freeze
 from freqmimic.language_core import event, non_event, source_statement
 
 F = Fraction
+
+
+def singleton_operators(p, n):
+    """One operator per trial, each attaching a single labeled outcome."""
+    labeled = label_events(to_binary(canonical_prefix(p, n)))
+    source = source_statement()
+    return [
+        SourceConditionalOperator(frozenset({entry}), source) for entry in labeled.entries
+    ]
+
+
+def fold_singletons(p, n):
+    """Join all single-outcome operators; must agree with ``trace_operator``."""
+    source = source_statement()
+    combined = SourceConditionalOperator(frozenset(), source)
+    for op in singleton_operators(p, n):
+        combined = join_family(combined, op)
+    return combined
 
 well_formed = st.integers(min_value=0, max_value=40).flatmap(
     lambda n: st.lists(

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,3 +104,18 @@ def test_prefix_language_order():
     )
     with pytest.raises(ValueError):
         prefix_language(0)
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+def test_statement_hash_is_the_field_tuple_hash(label):
+    # Set iteration order, and with it every rendered operator, depends on it.
+    for s in (event(label), non_event(label), source_statement()):
+        assert hash(s) == hash((s.kind, s.label))
+
+
+def test_statement_pickles_without_its_cached_hash():
+    s = non_event(7)
+    payload = pickle.dumps(s)
+    assert b"_hash" not in payload
+    back = pickle.loads(payload)
+    assert back == s and hash(back) == hash(s) and {back} == {s}

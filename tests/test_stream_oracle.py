@@ -1,0 +1,619 @@
+"""Differential tests: the streaming core against the materializing code.
+
+The oracles below are the original writers, reader, generator and
+statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
+materialized sequence, the ``csv.reader`` parser, the list-building
+SplitMix64 loop, and the index-scanning runs counter.  The streamed CLI
+output, the pair generators, the fast reader and the one-pass counts must
+match them byte for byte, value for value, and error for error.
+"""
+
+import contextlib
+import csv
+import dataclasses
+import hashlib
+import io
+import itertools
+import json
+import math
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freqmimic import cell_dist, freq_seq, stats_harness
+from freqmimic.cli import main
+from freqmimic.event_seq import BinaryTrialSequence, differences
+from freqmimic.freq_seq import (
+    CSV_HEADER,
+    CumulativeSequence,
+    canonical_pairs,
+    check_probability,
+    json_rows,
+    nonconvergent_pairs,
+    sequence_chunks,
+    sequence_csv,
+    sequence_from_csv,
+    truncate_freeze,
+)
+from freqmimic.stats_harness import (
+    PRNG_VERSION,
+    TestReport,
+    _normal_critical,
+    check_seed,
+    count_bits,
+    reports_csv,
+)
+
+F = Fraction
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def oracle_check_cumulative_form(terms):
+    terms = list(terms)
+    if terms:
+        if not 0 <= terms[0] <= 1:
+            return (False, 1)
+        prev = terms[0]
+        for i in range(1, len(terms)):
+            step = terms[i] - prev
+            if step < 0 or step > 1:
+                return (False, i + 1)
+            prev = terms[i]
+    return (True, None)
+
+
+def oracle_canonical_prefix(p, n):
+    p = check_probability(p)
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    if p == 1:
+        return CumulativeSequence(tuple(range(1, n + 1)))
+    num, den = p.numerator, p.denominator
+    return CumulativeSequence(tuple((k * num) // den for k in range(1, n + 1)))
+
+
+def oracle_build_nonconvergent(low, high, n):
+    low = check_probability(low)
+    high = check_probability(high)
+    if low >= high:
+        raise ValueError("low bound must be strictly below high bound")
+    if n < 1:
+        raise ValueError("prefix length must be positive")
+    low_num, low_den = low.numerator, low.denominator
+    high_num, high_den = high.numerator, high.denominator
+    terms = [0]
+    a = 0
+    up = True  # 0/1 <= low holds for any low >= 0
+    for k in range(2, n + 1):
+        if up:
+            a += 1
+        terms.append(a)
+        if up:
+            if a * high_den >= k * high_num:
+                up = False
+        elif a * low_den <= k * low_num:
+            up = True
+    return CumulativeSequence(terms)
+
+
+def oracle_sequence_csv(seq):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for k, a in enumerate(seq.terms, 1):
+        writer.writerow((k, a, a, k))
+    return out.getvalue()
+
+
+def oracle_sequence_json_rows(seq):
+    return [
+        {"n": k, "a": a, "freq": [a, k]} for k, a in enumerate(seq.terms, 1)
+    ]
+
+
+def oracle_sequence_json(seq):
+    """What the CLI printed: one ``json.dumps`` line per row."""
+    return "".join(json.dumps(row) + "\n" for row in oracle_sequence_json_rows(seq))
+
+
+def oracle_sequence_from_csv(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ValueError("missing sequence CSV header")
+    terms = []
+    for expected, row in enumerate(rows[1:], 1):
+        k, a, num, den = (int(field) for field in row)
+        if k != expected or num != a or den != k:
+            raise ValueError(f"inconsistent sequence CSV row {expected}")
+        terms.append(a)
+    return CumulativeSequence(terms)
+
+
+def oracle_to_binary(seq):
+    bits = []
+    prev = 0
+    for term in seq.terms:
+        bits.append(term - prev)
+        prev = term
+    return BinaryTrialSequence(tuple(bits))
+
+
+def oracle_bernoulli_prng(p, n, seed):
+    p = check_probability(p)
+    if n < 0:
+        raise ValueError("trial count must be non-negative")
+    num, den = p.numerator, p.denominator
+    threshold = num << 64
+    state = check_seed(seed)
+    bits = []
+    for _ in range(n):
+        state = (state + _GAMMA) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        z ^= z >> 31
+        bits.append(1 if z * den < threshold else 0)
+    return BinaryTrialSequence(tuple(bits))
+
+
+def oracle_frequency_test(bits, p, alpha, stream="designed"):
+    p = check_probability(p)
+    n = len(bits)
+    if n < 30:
+        raise ValueError("frequency test needs at least 30 trials")
+    if p == 0 or p == 1:
+        raise ValueError("frequency test needs 0 < p < 1")
+    crit = _normal_critical(alpha)
+    x = bits.ones
+    z = float(x - n * p) / math.sqrt(float(n * p * (1 - p)))
+    return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
+
+
+def oracle_runs_test(bits, alpha, stream="designed"):
+    n = len(bits)
+    if n < 30:
+        raise ValueError("runs test needs at least 30 trials")
+    n1 = bits.ones
+    n0 = n - n1
+    if n0 == 0 or n1 == 0:
+        raise ValueError("runs test needs both outcomes present")
+    crit = _normal_critical(alpha)
+    seq = bits.bits
+    runs = 1 + sum(1 for i in range(1, n) if seq[i] != seq[i - 1])
+    pairs = 2 * n0 * n1
+    mean = Fraction(pairs, n) + 1
+    variance = Fraction(pairs * (pairs - n), n * n * (n - 1))
+    z = float(runs - mean) / math.sqrt(float(variance))
+    return TestReport("runs", stream, z, alpha, abs(z) <= crit, n)
+
+
+def oracle_compare(designed, p, seed, alpha):
+    p = check_probability(p)
+    generated = oracle_bernoulli_prng(p, len(designed), seed)
+    tagged = [
+        oracle_frequency_test(generated, p, alpha, stream="prng"),
+        oracle_runs_test(generated, alpha, stream="prng"),
+    ]
+    tagged = [
+        dataclasses.replace(r, seed=seed, prng_version=PRNG_VERSION) for r in tagged
+    ]
+    return [
+        oracle_frequency_test(designed, p, alpha, stream="designed"),
+        oracle_runs_test(designed, alpha, stream="designed"),
+        tagged[0],
+        tagged[1],
+    ]
+
+
+def oracle_reports_csv(reports):
+    lines = [",".join(stats_harness.REPORT_CSV_HEADER)]
+    for r in reports:
+        lines.append(
+            ",".join(
+                (
+                    r.test,
+                    r.stream,
+                    repr(r.statistic),
+                    repr(r.alpha),
+                    "true" if r.passed else "false",
+                    str(r.n),
+                    "" if r.seed is None else str(r.seed),
+                    "" if r.prng_version is None else r.prng_version,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_cell_csv(assignment, sequences):
+    m = len(sequences)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)])
+    for t, cell in enumerate(assignment.entries, 1):
+        writer.writerow([t, cell] + [seq.terms[t - 1] for seq in sequences])
+    return out.getvalue()
+
+
+# ------------------------------------------------------------------ helpers
+
+
+def outcome(call):
+    """A call's value, or its exception type and message."""
+    try:
+        return ("ok", call())
+    except (ValueError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def oracle_gen_seq(p, n, m):
+    seq = oracle_canonical_prefix(p, n)
+    return seq if m is None else truncate_freeze(seq, m, n)
+
+
+RENDER = {"csv": oracle_sequence_csv, "json": oracle_sequence_json}
+
+
+probabilities = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=300)
+cumulative = bit_lists.map(lambda bits: CumulativeSequence(tuple(itertools.accumulate(bits))))
+# Small chunks put every chunk boundary inside the drawn inputs.
+small_chunks = st.sampled_from([1, 2, 3, 7, 64])
+
+
+# ------------------------------------------------------------------ writers
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=cumulative, chunk=small_chunks)
+def test_writers_match_csv_and_json_oracles(seq, chunk):
+    assert sequence_csv(seq) == oracle_sequence_csv(seq)
+    pairs = list(enumerate(seq.terms, 1))
+    assert "".join(json_rows(pairs)) == oracle_sequence_json(seq)
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        assert "".join(sequence_chunks(pairs, "csv")) == oracle_sequence_csv(seq)
+        assert "".join(sequence_chunks(pairs, "json")) == oracle_sequence_json(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=probabilities,
+    n=st.integers(min_value=-2, max_value=400),
+    m=st.one_of(st.none(), st.integers(min_value=-1, max_value=402)),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=small_chunks,
+)
+def test_gen_seq_stream_matches_materialized_oracle(p, n, m, fmt, chunk):
+    argv = ["gen-seq", "--p", str(p), "--n", str(n), "--format", fmt]
+    if m is not None:
+        argv += ["--m", str(m)]
+    expected = outcome(lambda: oracle_gen_seq(p, n, m))
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        got = outcome(lambda: run_main(argv))
+        library = outcome(lambda: tuple(canonical_pairs(p, n, m)))
+    if expected[0] == "ok":
+        seq = expected[1]
+        assert got == ("ok", (0, RENDER[fmt](seq)))
+        assert library == ("ok", tuple(enumerate(seq.terms, 1)))
+    else:
+        # main reports the error on stderr with exit 2 and writes no row.
+        assert got == ("ok", (2, ""))
+        assert library == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    low=probabilities,
+    high=probabilities,
+    n=st.integers(min_value=-1, max_value=400),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_gen_nonconv_stream_matches_materialized_oracle(low, high, n, fmt):
+    expected = outcome(lambda: oracle_build_nonconvergent(low, high, n))
+    got = outcome(lambda: tuple(nonconvergent_pairs(low, high, n)))
+    cli = run_main(["gen-nonconv", "--low", str(low), "--high", str(high),
+                    "--n", str(n), "--format", fmt])
+    if expected[0] == "ok":
+        seq = expected[1]
+        assert got == ("ok", tuple(enumerate(seq.terms, 1)))
+        assert cli == (0, RENDER[fmt](seq))
+    else:
+        assert got == expected
+        assert cli == (2, "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(st.integers(min_value=-2, max_value=4), max_size=40),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=small_chunks,
+)
+def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
+    """Arbitrary terms: the stream fails exactly where CumulativeSequence does."""
+    assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
+    expected = outcome(lambda: RENDER[fmt](CumulativeSequence(terms)))
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        got = outcome(lambda: "".join(sequence_chunks(enumerate(terms, 1), fmt)))
+    assert got == expected
+
+
+def test_cumulative_form_check_keeps_comparison_semantics():
+    for terms in ([0, 0.5], [0.5, 1.5, 1.25], [0.0, 1.0, 3.0], [True, True, False]):
+        assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
+
+
+# ------------------------------------------------------------------ reader
+
+
+def _mutations(text, row, rng_digit):
+    """Variants of canonical sequence CSV that the csv reader may still accept."""
+    lines = text.split("\n")
+    i = min(row, len(lines) - 2)  # a data row when there is one, else the header
+    k, _, rest = lines[i].partition(",")
+    out = {
+        "quoted": lines[:i] + [f'"{k}",{rest}'] + lines[i + 1:],
+        "space": lines[:i] + [f" {k},{rest}"] + lines[i + 1:],
+        "plus": lines[:i] + [f"+{k},{rest}"] + lines[i + 1:],
+        "zeros": lines[:i] + [f"0{k},{rest}"] + lines[i + 1:],
+        "extra": lines[:i] + [f"{lines[i]},0"] + lines[i + 1:],
+        "short": lines[:i] + [k] + lines[i + 1:],
+        "blank": lines[:i] + [""] + lines[i:],
+        "swap": lines[:i] + lines[i + 1:i + 2] + [lines[i]] + lines[i + 2:],
+        "nonascii": lines[:i] + [lines[i].replace(rng_digit, chr(0x0660 + int(rng_digit)))]
+        + lines[i + 1:],
+    }
+    variants = {name: "\n".join(parts) for name, parts in out.items()}
+    variants["crlf"] = text.replace("\n", "\r\n")
+    variants["no-final-newline"] = text[:-1]
+    variants["trailing-blank"] = text + "\n"
+    variants["no-header"] = "\n".join(lines[1:])
+    variants["header-only"] = lines[0] + "\n"
+    variants["empty"] = ""
+    variants["changed-a"] = text.replace(f"\n{k},", f"\n{k},9", 1)
+    return variants
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seq=cumulative,
+    row=st.integers(min_value=1, max_value=300),
+    digit=st.sampled_from("0123456789"),
+)
+def test_reader_matches_csv_reader_on_canonical_and_mutated_text(seq, row, digit):
+    text = oracle_sequence_csv(seq)
+    assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == seq
+    for name, variant in _mutations(text, row, digit).items():
+        assert outcome(lambda: sequence_from_csv(variant)) == outcome(
+            lambda: oracle_sequence_from_csv(variant)
+        ), name
+
+
+def test_reader_fast_path_skips_the_csv_reader():
+    text = sequence_csv(oracle_canonical_prefix(F(3, 7), 50))
+    with mock.patch.object(freq_seq, "_sequence_from_csv_slow", side_effect=AssertionError):
+        assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), 50)
+
+
+# ------------------------------------------------------------------ counts
+
+
+def oracle_counts(bits):
+    seq = tuple(bits)
+    runs = 1 + sum(1 for i in range(1, len(seq)) if seq[i] != seq[i - 1]) if seq else 0
+    return (len(seq), sum(seq), runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=bit_lists, chunk=small_chunks)
+def test_counts_match_tuple_counts(bits, chunk):
+    with mock.patch.object(stats_harness, "_BITS_PER_CHUNK", chunk):
+        assert tuple(count_bits(iter(bits))) == oracle_counts(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.lists(st.integers(min_value=-1, max_value=2), max_size=40),
+    chunk=small_chunks,
+)
+def test_counts_reject_what_the_sequence_rejects(bits, chunk):
+    with mock.patch.object(stats_harness, "_BITS_PER_CHUNK", chunk):
+        got = outcome(lambda: tuple(count_bits(bits)))
+    expected = outcome(lambda: oracle_counts(BinaryTrialSequence(bits).bits))
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=1), max_size=120),
+    alpha=st.sampled_from([0.05, 0.01, 0.2]),
+)
+def test_runs_test_matches_oracle(bits, alpha):
+    seq = BinaryTrialSequence(bits)
+    expected = outcome(lambda: oracle_runs_test(seq, alpha))
+    assert outcome(lambda: stats_harness.runs_test(seq, alpha)) == expected
+    counts = count_bits(bits)
+    assert outcome(lambda: stats_harness.runs_test(counts, alpha)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=probabilities,
+    n=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=_MASK64),
+)
+def test_prng_matches_oracle(p, n, seed):
+    expected = oracle_bernoulli_prng(p, n, seed)
+    assert stats_harness.bernoulli_prng(p, n, seed) == expected
+    assert tuple(stats_harness.prng_bits(p, n, seed)) == expected.bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=probabilities,
+    n=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=-1, max_value=1 << 64),
+    alpha=st.sampled_from([0.05, 0.01]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_compare_matches_oracle(p, n, seed, alpha, fmt):
+    def oracle_reports():
+        check_seed(seed)
+        designed = oracle_to_binary(oracle_canonical_prefix(p, n))
+        return oracle_compare(designed, p, seed, alpha)
+
+    expected = outcome(oracle_reports)
+    argv = ["compare", "--p", str(p), "--n", str(n), "--seed", str(seed),
+            "--alpha", str(alpha), "--format", fmt]
+    if expected[0] != "ok":
+        assert run_main(argv) == (2, "")
+        return
+    reports = expected[1]
+    designed = BinaryTrialSequence(tuple(differences(oracle_canonical_prefix(p, n).terms)))
+    assert designed == oracle_to_binary(oracle_canonical_prefix(p, n))
+    assert stats_harness.compare(designed, p, seed, alpha) == reports
+    if fmt == "csv":
+        text = oracle_reports_csv(reports)
+        assert reports_csv(reports) == text
+    else:
+        text = "".join(json.dumps(r.as_json_dict()) + "\n" for r in reports)
+    assert run_main(argv) == (0, text)
+
+
+# ------------------------------------------------------------------ other writers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
+    n=st.integers(min_value=0, max_value=80),
+)
+def test_cell_csv_matches_csv_writer(weights, n):
+    probs = [F(w, sum(weights)) for w in weights]
+    assignment, sequences = cell_dist.build_cell_sequences(probs, n)
+    assert cell_dist.cell_csv(assignment, sequences) == oracle_cell_csv(assignment, sequences)
+
+
+def test_reports_csv_matches_oracle_without_seed():
+    reports = [
+        TestReport("frequency", "designed", -0.0, 0.05, True, 30),
+        TestReport("runs", "prng", 1e-300, 0.01, False, 31, 0, PRNG_VERSION),
+        TestReport("chi_square", "designed", float("inf"), 0.01, False, 32, 7, None),
+    ]
+    assert reports_csv(reports) == oracle_reports_csv(reports)
+    assert reports_csv([]) == oracle_reports_csv([])
+
+
+# ------------------------------------------------------------------ CLI bytes
+
+TEN_CELLS = ",".join(["1/10"] * 10)
+
+# sha256 of stdout, recorded from the materializing implementation.
+GOLDEN = [
+    (("gen-seq", "--p", "4093/8191", "--n", "5000"),
+     "fc6e626c5e9efeae8c7844343807659617f0290902b093c1cb86c0756169dd6c"),
+    (("gen-seq", "--p", "4093/8191", "--n", "3000", "--m", "1234", "--format", "json"),
+     "e30287497b474b6fc1669aac90f3f3792092bd942c393113bedf6ba61c16eaff"),
+    (("gen-seq", "--p", "0", "--n", "100"),
+     "f7f8a8cdca4b4d8813df3bd124acc1d8e78c5fc0c015f3a0b594263b1bad3dbf"),
+    (("gen-seq", "--p", "1", "--n", "100", "--m", "100", "--format", "json"),
+     "dfdeb3aaf001f8e0bf01792da3ff1d1ef9a594e17128be27eb406f9fd3b314a6"),
+    (("gen-seq", "--p", "2/5", "--n", "0"),
+     "2ba2c87da4ac940785278f38f31a0b0960b0ee39be7e00f0e8b809198951a595"),
+    (("gen-nonconv", "--low", "2/7", "--high", "4/7", "--n", "5000"),
+     "cc977dd0061e7316ea02cffd24257d06f4414b7d1fb3f5d7520dd956f16825ad"),
+    (("gen-nonconv", "--low", "0", "--high", "1", "--n", "300", "--format", "json"),
+     "8f0435c9e9fdd05a8d0eb950787b70a62c5c5c317abbf16675903172813d8686"),
+    (("compare", "--p", "4093/8191", "--n", "5000", "--seed", "12345678901234567890",
+      "--alpha", "0.01"),
+     "9465a13e70af07406487f2644860c75e95cde2bcfa504eec987173e4375c45ee"),
+    (("compare", "--p", "3/7", "--n", "777", "--seed", "0", "--alpha", "0.05",
+      "--format", "json"),
+     "488a7a78ccebb6b974c797892875492db339b94ac363fa7eb5b5d59353235dcc"),
+    (("realize", "--p", "4093/8191", "--n", "300"),
+     "2944cdd79c7e30aa728a4e1101e60cd1a13636f9a0d5a28c43befcb7acde7217"),
+    (("realize", "--p", "3/7", "--n", "20", "--format", "json"),
+     "7241227ed182368027f08a918a2a85cd1dda4e17dd268c3343c5f481224ccddd"),
+    (("gen-dist", "--probs", "1/6,1/3,1/2", "--n", "2000"),
+     "d8d44c6cffeadb3c8edcd61d6bfaee17c8eb8b6d228ec7443fd26cfaed59d8ac"),
+    (("gen-dist", "--probs", TEN_CELLS, "--n", "1000", "--format", "json"),
+     "d3f395fc5ffa3c40a727be6f82176c41e061fc841714c309a068e4da10c1bb97"),
+    (("check-axioms", "--family", "--language-size", "4"),
+     "6b9f838b40cd8e2dadefc65be140616c20202531d6bee5daec0836ac771185b2"),
+    (("check-axioms", "--self-maps"),
+     "6e017e19ce027f5ee2ccfcc552b3625d29f5d082d47b8070a57272971ab6d43c"),
+]
+
+
+def test_cli_stdout_matches_golden_hashes():
+    for argv, digest in GOLDEN:
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqmimic", *argv], capture_output=True
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
+
+class _Sink:
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text)
+
+
+def _peak_bytes(argv):
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.bytes > 0
+    return peak
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-seq", "--p", "4093/8191"),
+        ("gen-seq", "--p", "4093/8191", "--m", "7", "--format", "json"),
+        ("gen-nonconv", "--low", "2/7", "--high", "4/7"),
+        ("compare", "--p", "4093/8191"),
+    ],
+)
+def test_streaming_verbs_memory_is_flat_in_n(argv):
+    """Four times the trials, same peak: nothing n-sized is held.
+
+    Small chunks keep the traced run short; holding the 15,000 extra terms
+    as a tuple of ints alone would add over 500 kB.
+    """
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 256), \
+            mock.patch.object(stats_harness, "_BITS_PER_CHUNK", 256):
+        small = _peak_bytes([*argv, "--n", "5000"])
+        large = _peak_bytes([*argv, "--n", "20000"])
+    assert large - small < 100_000, (small, large)
