@@ -239,7 +239,7 @@ def cell_operator_realization(
     probs, _, _ = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
-    assignment, _ = build_cell_sequences(probs, n)
+    assignment, _ = build_cell_sequences(probs, t)  # greedy tables are prefix-stable
     m = len(probs)
     source = source_statement()
     ops = [

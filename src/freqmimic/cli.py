@@ -154,36 +154,19 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     size = 4 if args.language_size is None else args.language_size
-    if size < 1:
-        raise ValueError("language size must be positive")
-    if size > closure_ops.MAX_CARRIER:
-        raise closure_ops.CapacityError(
-            f"language size {size} exceeds the limit of {closure_ops.MAX_CARRIER}"
-        )
-    verdicts = {name: True for name, _ in _AXIOM_FIELDS}
-    checked = 0
-    for s in range(1, size + 1):
-        language = language_core.prefix_language(s)
-        for attachments in closure_ops.all_subsets(language.statements):
-            op = closure_ops.SourceConditionalOperator(
-                attachments, language_core.source_statement()
-            )
-            report = closure_ops.check_axioms(
-                closure_ops.extensionalize(op, language)
-            )
-            checked += 1
-            for name, field in _AXIOM_FIELDS:
-                verdicts[name] = verdicts[name] and getattr(report, field)
-    for name, _ in _AXIOM_FIELDS:
-        print(f"{name}: {'PASS' if verdicts[name] else 'FAIL'}")
-    print(f"operators checked: {checked}")
-    return 0 if all(verdicts.values()) else 1
+    reports = [report for _, report in closure_ops.family_reports(size)]
+    for name, field in _AXIOM_FIELDS:
+        print(f"{name}: {'PASS' if all(getattr(r, field) for r in reports) else 'FAIL'}")
+    print(f"operators checked: {len(reports)}")
+    return 0 if all(report.all_ok for report in reports) else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
     stats_harness.check_seed(args.seed)
-    terms = map(itemgetter(1), freq_seq.canonical_pairs(p, args.n))
+    pairs = freq_seq.canonical_pairs(p, args.n)
+    stats_harness.check_frequency_args(args.n, p, args.alpha)
+    terms = map(itemgetter(1), pairs)
     designed = stats_harness.count_bits(event_seq.differences(terms))
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":

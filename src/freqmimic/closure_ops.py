@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
-from .language_core import Language, Statement, StatementKind, statement_key
+from .language_core import Language, Statement, StatementKind, prefix_language
+from .language_core import source_statement, statement_key
 
 MAX_CARRIER = 12
 
@@ -152,17 +153,19 @@ def all_subsets(elements: Iterable) -> list[frozenset]:
     return [subsets[m] for m in order]
 
 
+def _tabulate(carrier: frozenset, image, name: str, unit: str) -> ExtensionalOperator:
+    """Tabulate ``image`` over every subset of a carrier within the cap."""
+    if len(carrier) > MAX_CARRIER:
+        raise CapacityError(f"{name} has {len(carrier)} {unit}, limit is {MAX_CARRIER}")
+    return ExtensionalOperator(carrier, {s: image(s) for s in all_subsets(carrier)})
+
+
 def extensionalize(op: SourceConditionalOperator, language: Language) -> ExtensionalOperator:
     """Tabulate a family operator over the full power set of a language."""
     carrier = frozenset(language.statements)
-    if len(carrier) > MAX_CARRIER:
-        raise CapacityError(
-            f"language has {len(carrier)} statements, limit is {MAX_CARRIER}"
-        )
     if not (op.attachments | {op.source}) <= carrier:
         raise ValueError("operator statements must belong to the language")
-    table = {subset: apply(op, subset) for subset in all_subsets(carrier)}
-    return ExtensionalOperator(carrier, table)
+    return _tabulate(carrier, lambda subset: apply(op, subset), "language", "statements")
 
 
 @dataclass(frozen=True)
@@ -222,14 +225,27 @@ def _axiom_report(subsets: list[frozenset], order: list[int], table: list[int]) 
     return AxiomReport(broken is None, bad is None, bad is None, counterexample)
 
 
-def enumerate_self_maps(language: Language) -> Iterator[ExtensionalOperator]:
-    """Every total map on the power set of a tiny language, tabulated."""
-    carrier = frozenset(language.statements)
-    if len(carrier) > 2:
-        raise CapacityError("self-map enumeration is limited to 2 statements")
-    subsets = all_subsets(carrier)
-    for images in itertools.product(subsets, repeat=len(subsets)):
-        yield ExtensionalOperator(carrier, dict(zip(subsets, images)))
+def family_reports(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
+    """``(X, report)`` for every ``C(X,{G})`` on ``prefix_language(1..size)``, lazily.
+
+    Sizes ascend and ``X`` follows ``all_subsets``; each report equals
+    ``check_axioms(extensionalize(...))``, but each table is built as masks
+    (``m | X`` when ``m`` holds ``G``, else ``m``).  ``size`` is checked here.
+    """
+    if size < 1:
+        raise ValueError("language size must be positive")
+    if size > MAX_CARRIER:
+        raise CapacityError(f"language size {size} exceeds the limit of {MAX_CARRIER}")
+    return _family_sweep(size)
+
+
+def _family_sweep(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
+    for s in range(1, size + 1):
+        subsets, order = _power_set(prefix_language(s).statements)
+        g = subsets.index(frozenset((source_statement(),)))  # the single bit of G
+        for a in order:
+            table = [m | a if m & g else m for m in range(len(subsets))]
+            yield subsets[a], _axiom_report(subsets, order, table)
 
 
 def monotonicity_implied(language: Language) -> bool:
@@ -238,11 +254,12 @@ def monotonicity_implied(language: Language) -> bool:
     Exhaustive over all power-set self-maps, so the language is capped at
     two statements (256 maps); one statement gives 4 maps.
     """
-    for candidate in enumerate_self_maps(language):
-        report = check_axioms(candidate)
-        if report.extensive_idempotent and report.finitary and not report.monotone:
-            return False
-    return True
+    if len(language.statements) > 2:
+        raise CapacityError("self-map enumeration is limited to 2 statements")
+    subsets, order = _power_set(language.statements)
+    tables = itertools.product(range(len(subsets)), repeat=len(subsets))
+    reports = (_axiom_report(subsets, order, list(table)) for table in tables)
+    return all(r.monotone for r in reports if r.extensive_idempotent and r.finitary)
 
 
 def lub_extensional(e1: ExtensionalOperator, e2: ExtensionalOperator) -> ExtensionalOperator:
@@ -276,40 +293,32 @@ def is_axiomless(ext: ExtensionalOperator) -> bool:
     return ext.table[frozenset()] == frozenset()
 
 
-def _check_tuples(tuple_set: AbstractSet[tuple], arity: int) -> frozenset[tuple]:
-    checked = frozenset(tuple_set)
-    for item in checked:
-        if not isinstance(item, tuple) or len(item) != arity:
-            raise ValueError(f"expected statement tuples of arity {arity}")
-    return checked
+def _coordinatewise(image, ops: Sequence, tuple_set: AbstractSet[tuple]) -> frozenset[tuple]:
+    """Map each factor's projection through ``image(op, proj)``, re-product."""
+    if not ops:
+        raise ValueError("product needs at least one factor")
+    tuples = frozenset(tuple_set)
+    for item in tuples:
+        if not isinstance(item, tuple) or len(item) != len(ops):
+            raise ValueError(f"expected statement tuples of arity {len(ops)}")
+    if not tuples:
+        return frozenset()
+    projections = [frozenset(t[k] for t in tuples) for k in range(len(ops))]
+    return frozenset(itertools.product(*map(image, ops, projections)))
 
 
 def product_apply(
     ops: Sequence[SourceConditionalOperator], tuple_set: AbstractSet[tuple]
 ) -> frozenset[tuple]:
     """Coordinatewise image: apply each factor to its projection, re-product."""
-    if not ops:
-        raise ValueError("product needs at least one factor")
-    tuples = _check_tuples(tuple_set, len(ops))
-    if not tuples:
-        return frozenset()
-    projections = [frozenset(t[k] for t in tuples) for k in range(len(ops))]
-    images = [apply(op, proj) for op, proj in zip(ops, projections)]
-    return frozenset(itertools.product(*images))
+    return _coordinatewise(apply, ops, tuple_set)
 
 
 def realize_product(
     ops: Sequence[SourceConditionalOperator], tuple_set: AbstractSet[tuple]
 ) -> frozenset[tuple]:
     """Coordinatewise realization: realize each projection, re-product."""
-    if not ops:
-        raise ValueError("product needs at least one factor")
-    tuples = _check_tuples(tuple_set, len(ops))
-    if not tuples:
-        return frozenset()
-    projections = [frozenset(t[k] for t in tuples) for k in range(len(ops))]
-    realized = [realize(op, proj) for op, proj in zip(ops, projections)]
-    return frozenset(itertools.product(*realized))
+    return _coordinatewise(realize, ops, tuple_set)
 
 
 def extensionalize_product(
@@ -325,9 +334,4 @@ def extensionalize_product(
             raise ValueError("operator statements must belong to their language")
     factors = [sorted(lang.statements, key=statement_key) for lang in languages]
     carrier = frozenset(itertools.product(*factors))
-    if len(carrier) > MAX_CARRIER:
-        raise CapacityError(
-            f"tuple carrier has {len(carrier)} elements, limit is {MAX_CARRIER}"
-        )
-    table = {subset: product_apply(ops, subset) for subset in all_subsets(carrier)}
-    return ExtensionalOperator(carrier, table)
+    return _tabulate(carrier, lambda s: product_apply(ops, s), "tuple carrier", "elements")

@@ -63,6 +63,15 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_frequency_args(n: int, p: Fraction, alpha: float) -> float:
+    """Critical value, or ``frequency_test``'s error, for these arguments."""
+    if n < 30:
+        raise ValueError("frequency test needs at least 30 trials")
+    if p == 0 or p == 1:
+        raise ValueError("frequency test needs 0 < p < 1")
+    return _normal_critical(alpha)
+
+
 def prng_bits(p: Fraction | int, n: int, seed: int) -> Iterator[int]:
     """n seeded pseudo-random trials with success probability p, lazily.
 
@@ -171,11 +180,7 @@ def frequency_test(
     """One-proportion z-test: z = (x - n*p) / sqrt(n*p*(1-p))."""
     p = check_probability(p)
     n = bits.n if isinstance(bits, BitCounts) else len(bits)
-    if n < 30:
-        raise ValueError("frequency test needs at least 30 trials")
-    if p == 0 or p == 1:
-        raise ValueError("frequency test needs 0 < p < 1")
-    crit = _normal_critical(alpha)
+    crit = check_frequency_args(n, p, alpha)
     x = bits.ones
     z = float(x - n * p) / math.sqrt(float(n * p * (1 - p)))
     return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
@@ -249,12 +254,16 @@ def compare(
 
     Returns four reports in fixed order: frequency then runs for the
     designed stream, then the same pair for the generator stream, which
-    carries the seed and generator version.  The generator stream is
-    counted as it is drawn, never held.
+    carries the seed and generator version.  The arguments are checked
+    before either stream is counted; the generator stream is counted as
+    it is drawn, never held.
     """
     p = check_probability(p)
+    n = designed.n if isinstance(designed, BitCounts) else len(designed)
+    bits = prng_bits(p, n, seed)
+    check_frequency_args(n, p, alpha)
     designed = _counts(designed)
-    generated = count_bits(prng_bits(p, designed.n, seed))
+    generated = count_bits(bits)
     tagged = [
         frequency_test(generated, p, alpha, stream="prng"),
         runs_test(generated, alpha, stream="prng"),

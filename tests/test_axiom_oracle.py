@@ -4,28 +4,34 @@ The oracle below is the original exhaustive checker, kept verbatim: three
 separate scans over the power set (extensive/idempotent, monotone by
 superset enumeration, finitary by submask unions), O(3^n) in the carrier
 size.  ``lub_extensional`` is checked against the original frozenset
-fixpoint.  Every report, counterexample included, must match.
+fixpoint, ``family_reports`` against tabulating each family operator and
+checking it, and ``monotonicity_implied`` against the original self-map
+enumeration.  Every report, counterexample included, must match.
 """
 
 import itertools
 from typing import Iterator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqmimic.closure_ops import (
+    MAX_CARRIER,
     AxiomReport,
+    CapacityError,
     ExtensionalOperator,
     SourceConditionalOperator,
     all_subsets,
     check_axioms,
-    enumerate_self_maps,
     extensionalize,
     extensionalize_product,
+    family_reports,
     lub_extensional,
+    monotonicity_implied,
     render_element,
 )
-from freqmimic.language_core import event, non_event, prefix_language, source_statement
+from freqmimic.language_core import Language, event, non_event, prefix_language, source_statement
 
 
 class _MaskView:
@@ -147,6 +153,24 @@ def oracle_all_subsets(elements) -> list[frozenset]:
         for combo in itertools.combinations(ordered, size):
             out.append(frozenset(combo))
     return out
+
+
+def enumerate_self_maps(language: Language) -> Iterator[ExtensionalOperator]:
+    """Every total map on the power set of a tiny language, tabulated."""
+    carrier = frozenset(language.statements)
+    if len(carrier) > 2:
+        raise CapacityError("self-map enumeration is limited to 2 statements")
+    subsets = all_subsets(carrier)
+    for images in itertools.product(subsets, repeat=len(subsets)):
+        yield ExtensionalOperator(carrier, dict(zip(subsets, images)))
+
+
+def oracle_monotonicity_implied(language: Language) -> bool:
+    for candidate in enumerate_self_maps(language):
+        report = check_axioms(candidate)
+        if report.extensive_idempotent and report.finitary and not report.monotone:
+            return False
+    return True
 
 
 # Strategies build tables as masks over the carrier sorted by rendering,
@@ -273,6 +297,56 @@ def test_family_and_product_operators_match_oracle():
     ]
     product = extensionalize_product(ops, [language, language])
     assert check_axioms(product) == oracle_check_axioms(product)
+
+
+def _tabulated_family_reports(size):
+    G = source_statement()
+    return [
+        (x, check_axioms(extensionalize(SourceConditionalOperator(x, G), lang)))
+        for lang in map(prefix_language, range(1, size + 1))
+        for x in all_subsets(lang.statements)
+    ]
+
+
+def test_family_reports_match_tabulated_operators():
+    for size in range(1, 8):
+        expected = _tabulated_family_reports(size)
+        assert len(expected) == 2 ** (size + 1) - 2
+        assert list(family_reports(size)) == expected
+
+
+def test_family_reports_check_the_tabulated_tables(monkeypatch):
+    # every family operator passes, so compare what the checker is fed
+    from freqmimic import closure_ops
+
+    seen = []
+    real = closure_ops._axiom_report
+
+    def recording(subsets, order, table):
+        seen.append((subsets, order, list(table)))
+        return real(subsets, order, table)
+
+    monkeypatch.setattr(closure_ops, "_axiom_report", recording)
+    _tabulated_family_reports(5)
+    tabulated, seen[:] = seen[:], []
+    list(family_reports(5))
+    assert seen == tabulated
+
+
+def test_family_reports_check_size_when_called():
+    with pytest.raises(ValueError, match="^language size must be positive$"):
+        family_reports(0)
+    message = f"^language size {MAX_CARRIER + 1} exceeds the limit of {MAX_CARRIER}$"
+    with pytest.raises(CapacityError, match=message):
+        family_reports(MAX_CARRIER + 1)
+
+
+def test_monotonicity_implied_matches_self_map_oracle():
+    for size in (1, 2):
+        language = prefix_language(size)
+        assert monotonicity_implied(language) == oracle_monotonicity_implied(language)
+    with pytest.raises(CapacityError, match="limited to 2 statements"):
+        monotonicity_implied(prefix_language(3))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,17 @@ def test_cell_operator_realization_agrees_with_direct_route():
     direct = trials_to_tuples(assignment, 3)
     for t in range(1, 21):
         assert cell_operator_realization(probs, 20, t) == direct[t - 1]
+
+
+def test_cell_operator_realization_reads_only_the_prefix():
+    # the greedy table is prefix-stable, so trial t needs t trials, not n
+    start = time.perf_counter()
+    got = cell_operator_realization(QUARTERS, 10**9, 3)
+    assert time.perf_counter() - start < 1.0
+    assert got == cell_operator_realization(QUARTERS, 3, 3)
+    for t in (0, 10**9 + 1):
+        with pytest.raises(ValueError, match="trial index out of range"):
+            cell_operator_realization(QUARTERS, 10**9, t)
 
 
 def test_cell_operator_realization_single_cell():

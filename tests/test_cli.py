@@ -78,6 +78,9 @@ def test_gen_seq_rejects_bad_lengths(capsys, argv, message):
         ("gen-seq", "--p", "1/2", "--n", "1000000000", "--m", "0"),
         ("gen-seq", "--p", "1/2", "--n", "1000000000", "--m", "1000000001"),
         ("gen-nonconv", "--low", "1/2", "--high", "1/3", "--n", "1000000000"),
+        ("compare", "--p", "0", "--n", "1000000000"),
+        ("compare", "--p", "1", "--n", "1000000000"),
+        ("compare", "--p", "1/2", "--n", "29"),
     ],
 )
 def test_bad_flags_are_rejected_before_generation(capsys, verb):
@@ -200,7 +203,7 @@ def test_check_axioms_counterexample_exits_one(capsys, monkeypatch):
         finitary=True,
         counterexample=(frozenset(), frozenset()),
     )
-    monkeypatch.setattr(closure_ops, "check_axioms", lambda op: broken)
+    monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter([(frozenset(), broken)]))
     assert main(["check-axioms", "--family", "--language-size", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "monotone: FAIL" in lines

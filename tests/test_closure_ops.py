@@ -10,7 +10,6 @@ from freqmimic.closure_ops import (
     apply,
     canonical_form,
     check_axioms,
-    enumerate_self_maps,
     extensionalize,
     extensionalize_product,
     is_axiomless,
@@ -30,6 +29,7 @@ from freqmimic.language_core import (
     source_statement,
     trial_language,
 )
+from test_axiom_oracle import enumerate_self_maps
 
 G = source_statement()
 

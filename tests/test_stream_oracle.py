@@ -18,8 +18,10 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -43,6 +45,7 @@ from freqmimic.freq_seq import (
 )
 from freqmimic.stats_harness import (
     PRNG_VERSION,
+    BitCounts,
     TestReport,
     _normal_critical,
     check_seed,
@@ -433,6 +436,23 @@ def test_counts_match_tuple_counts(bits, chunk):
         assert tuple(count_bits(iter(bits))) == oracle_counts(bits)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=probabilities, n=st.integers(min_value=1, max_value=5000))
+def test_canonical_counts_match_closed_form(p, n):
+    # the canonical bits form a mechanical word: for p <= 1/2 the ones are
+    # isolated, for p >= 1/2 the zeros are, and trial 1 is 0 unless p = 1
+    ones = math.floor(n * p)
+    last = ones - math.floor((n - 1) * p)
+    if p in (0, 1):
+        runs = 1
+    elif p <= F(1, 2):
+        runs = 2 * ones + 1 - last
+    else:
+        runs = 2 * (n - ones) - (1 - last)
+    terms = map(itemgetter(1), canonical_pairs(p, n))
+    assert count_bits(differences(terms)) == (n, ones, runs)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     bits=st.lists(st.integers(min_value=-1, max_value=2), max_size=40),
@@ -500,6 +520,44 @@ def test_compare_matches_oracle(p, n, seed, alpha, fmt):
     else:
         text = "".join(json.dumps(r.as_json_dict()) + "\n" for r in reports)
     assert run_main(argv) == (0, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=probabilities,
+    n=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=_MASK64),
+    alpha=st.sampled_from([0.05, 0.01, 0.2]),
+)
+def test_compare_rejects_what_the_oracle_rejects(p, n, seed, alpha):
+    # the checks run before either stream is drawn, and raise what the oracle raises
+    designed = oracle_to_binary(oracle_canonical_prefix(p, n))
+    expected = outcome(lambda: oracle_compare(designed, p, seed, alpha))
+    assert outcome(lambda: stats_harness.compare(designed, p, seed, alpha)) == expected
+    if alpha == 0.2:  # not a CLI choice
+        return
+    argv = ["compare", "--p", str(p), "--n", str(n), "--seed", str(seed),
+            "--alpha", str(alpha)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_main(argv)
+    if expected[0] == "ok":
+        assert code == 0
+    else:
+        assert (code, out, err.getvalue()) == (2, "", f"error: {expected[1]}\n")
+
+
+def test_compare_rejects_bad_arguments_before_drawing():
+    start = time.perf_counter()
+    for counts, p, alpha in [
+        (BitCounts(10**9, 0, 1), F(0), 0.01),
+        (BitCounts(10**9, 10**9, 1), F(1), 0.01),
+        (BitCounts(10**9, 5 * 10**8, 2), F(1, 2), 0.2),
+    ]:
+        expected = outcome(lambda: stats_harness.frequency_test(counts, p, alpha))
+        assert expected[0] is ValueError
+        assert outcome(lambda: stats_harness.compare(counts, p, 42, alpha)) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------ other writers
