@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
+from . import freq_seq
 from .closure_ops import SourceConditionalOperator, realize_product
 from .freq_seq import CumulativeSequence, check_cumulative_form, parse_probability
 from .language_core import Statement, StatementKind, event, non_event, source_statement
@@ -61,15 +64,20 @@ class CellAssignment:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.cell_count < 1:
             raise ValueError("assignment needs at least one cell")
-        for t, entry in enumerate(self.entries, 1):
-            if not 1 <= entry <= self.cell_count:
-                raise ValueError(f"trial {t} assigned outside 1..{self.cell_count}")
+        _check_cells(self.entries, self.cell_count)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
+
+
+def _check_cells(entries: Sequence[int], m: int, done: int = 0) -> None:
+    """Raise the ``CellAssignment`` error for the first entry outside 1..m."""
+    if entries and not (1 <= min(entries) and max(entries) <= m):
+        t = next(t for t, entry in enumerate(entries, 1) if not 1 <= entry <= m)
+        raise ValueError(f"trial {done + t} assigned outside 1..{m}")
 
 
 def _shares(
@@ -81,35 +89,42 @@ def _shares(
     return probs, den, [p.numerator * (den // p.denominator) for p in probs]
 
 
-def build_cell_sequences(
-    probs: ProbabilityVector | Sequence[Fraction], n: int
-) -> tuple[CellAssignment, list[CumulativeSequence]]:
-    """Greedy largest-deficit assignment of trials 1..n to cells.
+def cell_rows(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[tuple[int, ...]]:
+    """(t, cell, a_1(t), ..., a_m(t)) for trials t = 1..n of the greedy assignment.
 
-    Trial t goes to the cell maximizing the deficit t*p_k - a_k(t-1), ties
-    to the lowest index.  Deficits are compared in integers over the common
-    denominator of the probabilities, so the choice is exact.
+    Trial t goes to the cell with the largest deficit t*p_k - a_k(t-1) (lowest
+    index on ties; exact integers).  Arguments are checked before the first row.
     """
     probs, den, nums = _shares(probs)
     if n < 0:
         raise ValueError("trial count must be non-negative")
-    m = len(probs)
-    counts = [0] * m
-    chosen: list[int] = []
-    columns: list[list[int]] = [[] for _ in range(m)]
+    return _greedy(den, nums, n)
+
+
+def _greedy(den: int, nums: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    deficits = [0] * len(nums)  # t*nums[k] - a_k(t)*den
+    row = [0, 0] + deficits  # t, cell, a_1(t), ..., a_m(t)
     for t in range(1, n + 1):
-        best = 0
-        best_score = t * nums[0] - counts[0] * den
-        for k in range(1, m):
-            score = t * nums[k] - counts[k] * den
-            if score > best_score:
-                best, best_score = k, score
-        counts[best] += 1
-        chosen.append(best + 1)
-        for k in range(m):
-            columns[k].append(counts[k])
-    assignment = CellAssignment(tuple(chosen), m)
-    return assignment, [CumulativeSequence(tuple(col)) for col in columns]
+        deficits = list(map(add, deficits, nums))
+        best = deficits.index(max(deficits))
+        deficits[best] -= den
+        row[0], row[1] = t, best + 1
+        row[best + 2] += 1
+        yield tuple(row)
+
+
+def _table(fields: list[int], m: int) -> tuple[CellAssignment, list[CumulativeSequence]]:
+    """Row-major fields t, cell, a_1, ..., a_m as an assignment and cell columns."""
+    _, chosen, *columns = (tuple(fields[k :: m + 2]) for k in range(m + 2))
+    return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]
+
+
+def build_cell_sequences(
+    probs: ProbabilityVector | Sequence[Fraction], n: int
+) -> tuple[CellAssignment, list[CumulativeSequence]]:
+    """The greedy assignment of trials 1..n (see ``cell_rows``) as a table."""
+    probs, _, _ = _shares(probs)
+    return _table(list(chain.from_iterable(cell_rows(probs, n))), len(probs))
 
 
 @dataclass(frozen=True)
@@ -123,10 +138,13 @@ class CellTableReport:
         return self.membership and self.one_hot and self.conservation
 
 
-def _as_terms(seq: CumulativeSequence | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(seq, CumulativeSequence):
-        return seq.terms
-    return tuple(seq)
+def _columns(sequences: Sequence, probs: Sequence[Fraction]) -> tuple[list[tuple], int, list[int]]:
+    """The cell columns as term tuples, one per cell, and the integer shares."""
+    _, den, nums = _shares(probs)
+    tables = [s.terms if isinstance(s, CumulativeSequence) else tuple(s) for s in sequences]
+    if len(tables) != len(nums):
+        raise ValueError("one sequence per cell is required")
+    return tables, den, nums
 
 
 def validate_cell_table(
@@ -138,29 +156,19 @@ def validate_cell_table(
     Accepts raw term lists as well, so tables that violate the constraints
     can be diagnosed rather than rejected at construction.
     """
-    probs, _, _ = _shares(probs)
-    tables = [_as_terms(seq) for seq in sequences]
-    if len(tables) != len(probs):
-        raise ValueError("one sequence per cell is required")
-    lengths = {len(t) for t in tables}
-    if len(lengths) > 1:
+    tables, _, _ = _columns(sequences, probs)
+    if len({len(t) for t in tables}) > 1:
         raise ValueError("cell sequences must share one length")
-    n = lengths.pop() if lengths else 0
-
     membership = all(check_cumulative_form(t).ok for t in tables)
-
-    one_hot = True
-    prev = [0] * len(tables)
-    for t in range(n):
-        increments = [tables[k][t] - prev[k] for k in range(len(tables))]
-        if sorted(increments) != [0] * (len(tables) - 1) + [1]:
-            one_hot = False
+    one_hot = conservation = True
+    unit = [0] * (len(tables) - 1) + [1]  # sorted increments of a one-hot trial
+    prev = (0,) * len(tables)
+    for t, row in enumerate(zip(*tables), 1):
+        one_hot = one_hot and sorted(map(sub, row, prev)) == unit
+        conservation = conservation and sum(row) == t
+        if not (one_hot or conservation):
             break
-        prev = [tables[k][t] for k in range(len(tables))]
-
-    conservation = all(
-        sum(tables[k][t] for k in range(len(tables))) == t + 1 for t in range(n)
-    )
+        prev = row
     return CellTableReport(membership, one_hot, conservation)
 
 
@@ -169,10 +177,7 @@ def discrepancy(
     probs: ProbabilityVector | Sequence[Fraction],
 ) -> Fraction:
     """Exact max over cells and trials of |a_k(t) - t*p_k|."""
-    probs, den, nums = _shares(probs)
-    tables = [_as_terms(seq) for seq in sequences]
-    if len(tables) != len(probs):
-        raise ValueError("one sequence per cell is required")
+    tables, den, nums = _columns(sequences, probs)
     worst = 0
     for k, table in enumerate(tables):
         for t, a in enumerate(table, 1):
@@ -239,67 +244,70 @@ def cell_operator_realization(
     probs, _, _ = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
-    assignment, _ = build_cell_sequences(probs, t)  # greedy tables are prefix-stable
-    m = len(probs)
+    _, cell, *_ = next(islice(cell_rows(probs, t), t - 1, None))  # rows are prefix-stable
     source = source_statement()
     ops = [
-        SourceConditionalOperator(
-            frozenset({event(t) if assignment.entries[t - 1] == k else non_event(t)}),
-            source,
-        )
-        for k in range(1, m + 1)
+        SourceConditionalOperator(frozenset({event(t) if cell == k else non_event(t)}), source)
+        for k in range(1, len(probs) + 1)
     ]
-    produced = realize_product(ops, {(source,) * m})
-    (coords,) = produced
+    (coords,) = realize_product(ops, {(source,) * len(probs)})
     return OneHotTrial(coords)
 
 
+def _header(m: int) -> list[str]:
+    return ["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]
+
+
+def cell_chunks(rows: Iterable[tuple[int, ...]], m: int, fmt: str) -> Iterator[str]:
+    """Render ``cell_rows`` as CSV (header first) or JSON lines, a chunk at a time.
+
+    For ints a row's %-template writes the bytes of ``csv.writer``, or of
+    ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
+    Each chunk is checked before it is rendered as the materialized table is:
+    cells in 1..m (the ``CellAssignment`` error), then each count column
+    rising by 0 or 1 from 0 (the ``CumulativeSequence`` error).
+    """
+    if fmt == "csv":
+        yield ",".join(_header(m)) + "\n"
+        template = ",".join(["%s"] * (m + 2)) + "\n"
+    else:
+        template = '{"trial": %s, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
+    rows, done, prev = iter(rows), 0, (0,) * m
+    while chunk := list(islice(rows, freq_seq.ROWS_PER_CHUNK)):
+        _, cells, *columns = zip(*chunk)
+        _check_cells(cells, m, done)
+        for column, before in zip(columns, prev):
+            bad = freq_seq._first_bad_step(column, before)
+            if bad is not None:
+                raise freq_seq._form_error(done + bad + 1)
+        done += len(chunk)
+        prev = chunk[-1][2:]
+        yield "".join(map(template.__mod__, chunk))
+
+
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
-    """CSV with columns t, assigned_cell, a_1, ..., a_m."""
-    m = len(sequences)
-    header = ",".join(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)])
-    rows = zip(
-        range(1, len(assignment) + 1),
-        assignment.entries,
-        *(seq.terms for seq in sequences),
-        strict=True,
-    )
-    return header + "\n" + "".join([",".join(map(str, row)) + "\n" for row in rows])
+    """CSV with columns t, assigned_cell, a_1, ..., a_m: ``cell_chunks`` of the table."""
+    terms = (seq.terms for seq in sequences)
+    rows = zip(range(1, len(assignment) + 1), assignment.entries, *terms, strict=True)
+    return "".join(cell_chunks(rows, len(sequences), "csv"))
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
-    """Parse ``cell_csv`` output back into an assignment and cell columns."""
+    """Parse ``cell_csv`` output back; each row must be m + 2 integers, the first t."""
     # Imported here so that ``import freqmimic`` does not load csv.
     import csv
     import io
 
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:2] != ["t", "assigned_cell"]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    if header[:2] != ["t", "assigned_cell"]:
         raise ValueError("missing cell CSV header")
-    m = len(rows[0]) - 2
-    if m < 1 or rows[0][2:] != [f"a_{k}" for k in range(1, m + 1)]:
+    m = len(header) - 2
+    if m < 1 or header != _header(m):
         raise ValueError("malformed cell CSV header")
-    chosen = []
-    columns: list[list[int]] = [[] for _ in range(m)]
-    for expected, row in enumerate(rows[1:], 1):
-        values = [int(field) for field in row]
-        if values[0] != expected:
+    fields: list[str] = []
+    for expected, row in enumerate(reader, 1):
+        if len(row) != m + 2 or int(row[0]) != expected:
             raise ValueError(f"inconsistent cell CSV row {expected}")
-        chosen.append(values[1])
-        for k in range(m):
-            columns[k].append(values[2 + k])
-    assignment = CellAssignment(tuple(chosen), m)
-    return assignment, [CumulativeSequence(tuple(col)) for col in columns]
-
-
-def cell_json_rows(
-    assignment: CellAssignment, sequences: Sequence[CumulativeSequence]
-) -> list[dict]:
-    return [
-        {
-            "trial": t,
-            "cell": cell,
-            "counts": [seq.terms[t - 1] for seq in sequences],
-        }
-        for t, cell in enumerate(assignment.entries, 1)
-    ]
+        fields += row
+    return _table(list(map(int, fields)), m)

@@ -2,9 +2,9 @@
 
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
-are byte-identical.  gen-seq and gen-nonconv write their rows as they are
-generated and compare counts both streams as they are drawn, so their
-memory does not grow with --n; flags are checked before the first row.
+are byte-identical.  gen-seq, gen-nonconv and gen-dist write their rows as
+they are generated and compare counts both streams as they are drawn, so
+their memory does not grow with --n; flags are checked before the first row.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive
 invariant check finds a counterexample.
 """
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import cell_dist, closure_ops, event_seq, freq_seq, language_core, stats_harness
 
@@ -95,33 +95,25 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _emit_rows(pairs: Iterable[tuple[int, int]], fmt: str) -> None:
-    write = sys.stdout.write
-    for chunk in freq_seq.sequence_chunks(pairs, fmt):
-        write(chunk)
-
-
 def _cmd_gen_seq(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
-    _emit_rows(freq_seq.canonical_pairs(p, args.n, args.m), args.format)
+    pairs = freq_seq.canonical_pairs(p, args.n, args.m)
+    sys.stdout.writelines(freq_seq.sequence_chunks(pairs, args.format))
     return 0
 
 
 def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
     low = freq_seq.parse_probability(args.low)
     high = freq_seq.parse_probability(args.high)
-    _emit_rows(freq_seq.nonconvergent_pairs(low, high, args.n), args.format)
+    pairs = freq_seq.nonconvergent_pairs(low, high, args.n)
+    sys.stdout.writelines(freq_seq.sequence_chunks(pairs, args.format))
     return 0
 
 
 def _cmd_gen_dist(args: argparse.Namespace) -> int:
     probs = cell_dist.parse_probability_vector(args.probs)
-    assignment, sequences = cell_dist.build_cell_sequences(probs, args.n)
-    if args.format == "csv":
-        sys.stdout.write(cell_dist.cell_csv(assignment, sequences))
-    else:
-        for row in cell_dist.cell_json_rows(assignment, sequences):
-            print(json.dumps(row))
+    rows = cell_dist.cell_rows(probs, args.n)
+    sys.stdout.writelines(cell_dist.cell_chunks(rows, len(probs), args.format))
     return 0
 
 

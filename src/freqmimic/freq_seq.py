@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import floordiv, itemgetter, mul, sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Probability = Fraction
 
@@ -41,7 +41,7 @@ class FormCheck(NamedTuple):
     violation_index: int | None  # 1-based index of the first bad term
 
 
-def _first_bad_step(terms: list[int], prev: int = 0) -> int | None:
+def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
     """0-based index of the first term not 0 or 1 above its predecessor.
 
     ``prev`` is the term before ``terms[0]``; a(0) = 0 for a whole sequence.

@@ -2,22 +2,27 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqmimic.cell_dist import (
     CellAssignment,
+    CellTableReport,
     OneHotTrial,
     ProbabilityVector,
     build_cell_sequences,
     cell_csv,
-    cell_json_rows,
     cell_operator_realization,
     cell_table_from_csv,
     discrepancy,
     parse_probability_vector,
     trials_to_tuples,
     validate_cell_table,
+    _shares,
 )
+from freqmimic.freq_seq import CumulativeSequence, check_cumulative_form
 from freqmimic.language_core import event, non_event, source_statement
+from test_stream_oracle import cell_json_rows
 
 F = Fraction
 
@@ -43,6 +48,47 @@ def fraction_greedy(probs, n):
         counts[best] += 1
         chosen.append(best + 1)
     return chosen
+
+
+def _as_terms(seq):
+    if isinstance(seq, CumulativeSequence):
+        return seq.terms
+    return tuple(seq)
+
+
+def oracle_validate_cell_table(sequences, probs):
+    """The index-scanning validator, kept as the oracle of the one-pass one."""
+    probs, _, _ = _shares(probs)
+    tables = [_as_terms(seq) for seq in sequences]
+    if len(tables) != len(probs):
+        raise ValueError("one sequence per cell is required")
+    lengths = {len(t) for t in tables}
+    if len(lengths) > 1:
+        raise ValueError("cell sequences must share one length")
+    n = lengths.pop() if lengths else 0
+
+    membership = all(check_cumulative_form(t).ok for t in tables)
+
+    one_hot = True
+    prev = [0] * len(tables)
+    for t in range(n):
+        increments = [tables[k][t] - prev[k] for k in range(len(tables))]
+        if sorted(increments) != [0] * (len(tables) - 1) + [1]:
+            one_hot = False
+            break
+        prev = [tables[k][t] for k in range(len(tables))]
+
+    conservation = all(
+        sum(tables[k][t] for k in range(len(tables))) == t + 1 for t in range(n)
+    )
+    return CellTableReport(membership, one_hot, conservation)
+
+
+def outcome(call):
+    try:
+        return ("ok", call())
+    except ValueError as exc:
+        return (ValueError, str(exc))
 
 
 def test_probability_vector_validates():
@@ -246,3 +292,71 @@ def test_cell_json_rows():
         {"trial": 1, "cell": 2, "counts": [0, 1, 0]},
         {"trial": 2, "cell": 1, "counts": [1, 1, 0]},
     ]
+
+
+def _greedy_table(weights, n):
+    probs = [F(w, sum(weights)) for w in weights]
+    _, sequences = build_cell_sequences(probs, n)
+    return [list(seq.terms) for seq in sequences]
+
+
+@st.composite
+def cell_tables(draw):
+    """Small integer tables: arbitrary, greedy, or greedy with one entry moved;
+    now and then with a ragged column or one column too few or too many."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=8))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["arbitrary", "greedy", "moved"]))
+    if kind == "arbitrary":
+        column = st.lists(st.integers(min_value=-1, max_value=4), min_size=n, max_size=n)
+        table = draw(st.lists(column, min_size=m, max_size=m))
+    else:
+        table = _greedy_table(weights, n)
+        if kind == "moved" and n:
+            k, t = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+            table[k][t] += draw(st.sampled_from([-2, -1, 1, 2]))
+    shape = draw(st.sampled_from(["ok"] * 8 + ["ragged", "fewer", "more"]))
+    if shape == "ragged":
+        table[0] = table[0] + [0]
+    elif shape == "fewer":
+        table = table[1:]
+    elif shape == "more":
+        table = table + [[0] * n]
+    return table, [F(w, sum(weights)) for w in weights]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cell_tables())
+def test_one_pass_validator_matches_index_scan(case):
+    table, probs = case
+    expected = outcome(lambda: oracle_validate_cell_table(table, probs))
+    assert outcome(lambda: validate_cell_table(table, probs)) == expected
+
+
+def _quarters_csv(n=3):
+    return cell_csv(*build_cell_sequences(QUARTERS, n))
+
+
+def test_cell_table_from_csv_rejects_extra_fields():
+    text = _quarters_csv().replace("\n1,2,0,1,0\n", "\n1,2,0,1,0,99\n")
+    with pytest.raises(ValueError, match="^inconsistent cell CSV row 1$"):
+        cell_table_from_csv(text)
+
+
+def test_cell_table_from_csv_rejects_short_row():
+    text = _quarters_csv().replace("\n2,1,1,1,0\n", "\n2,1,1,1\n")
+    with pytest.raises(ValueError, match="^inconsistent cell CSV row 2$"):
+        cell_table_from_csv(text)
+
+
+def test_cell_table_from_csv_rejects_blank_line():
+    text = _quarters_csv().replace("\n2,1,1,1,0\n", "\n\n2,1,1,1,0\n")
+    with pytest.raises(ValueError, match="^inconsistent cell CSV row 2$"):
+        cell_table_from_csv(text)
+
+
+def test_cell_table_from_csv_rejects_trailing_blank_line():
+    with pytest.raises(ValueError, match="^inconsistent cell CSV row 4$"):
+        cell_table_from_csv(_quarters_csv() + "\n")
+    assert cell_table_from_csv(_quarters_csv()) == build_cell_sequences(QUARTERS, 3)

@@ -1,11 +1,12 @@
 """Differential tests: the streaming core against the materializing code.
 
-The oracles below are the original writers, reader, generator and
+The oracles below are the original writers, reader, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
-materialized sequence, the ``csv.reader`` parser, the list-building
-SplitMix64 loop, and the index-scanning runs counter.  The streamed CLI
-output, the pair generators, the fast reader and the one-pass counts must
-match them byte for byte, value for value, and error for error.
+materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
+parser, the column-building greedy cell loop, the list-building SplitMix64
+loop, and the index-scanning runs counter.  The streamed CLI output, the
+pair and row generators, the fast reader and the one-pass counts must match
+them byte for byte, value for value, and error for error.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from operator import itemgetter
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqmimic import cell_dist, freq_seq, stats_harness
+from freqmimic.cell_dist import CellAssignment
 from freqmimic.cli import main
 from freqmimic.event_seq import BinaryTrialSequence, differences
 from freqmimic.freq_seq import (
@@ -241,6 +244,29 @@ def oracle_reports_csv(reports):
     return "\n".join(lines) + "\n"
 
 
+def oracle_build_cell_sequences(probs, n):
+    probs, den, nums = cell_dist._shares(probs)
+    if n < 0:
+        raise ValueError("trial count must be non-negative")
+    m = len(probs)
+    counts = [0] * m
+    chosen: list[int] = []
+    columns: list[list[int]] = [[] for _ in range(m)]
+    for t in range(1, n + 1):
+        best = 0
+        best_score = t * nums[0] - counts[0] * den
+        for k in range(1, m):
+            score = t * nums[k] - counts[k] * den
+            if score > best_score:
+                best, best_score = k, score
+        counts[best] += 1
+        chosen.append(best + 1)
+        for k in range(m):
+            columns[k].append(counts[k])
+    assignment = CellAssignment(tuple(chosen), m)
+    return assignment, [CumulativeSequence(tuple(col)) for col in columns]
+
+
 def oracle_cell_csv(assignment, sequences):
     m = len(sequences)
     out = io.StringIO()
@@ -249,6 +275,19 @@ def oracle_cell_csv(assignment, sequences):
     for t, cell in enumerate(assignment.entries, 1):
         writer.writerow([t, cell] + [seq.terms[t - 1] for seq in sequences])
     return out.getvalue()
+
+
+def cell_json_rows(
+    assignment: CellAssignment, sequences: Sequence[CumulativeSequence]
+) -> list[dict]:
+    return [
+        {
+            "trial": t,
+            "cell": cell,
+            "counts": [seq.terms[t - 1] for seq in sequences],
+        }
+        for t, cell in enumerate(assignment.entries, 1)
+    ]
 
 
 # ------------------------------------------------------------------ helpers
@@ -584,6 +623,107 @@ def test_reports_csv_matches_oracle_without_seed():
     assert reports_csv([]) == oracle_reports_csv([])
 
 
+# ------------------------------------------------------------------ cell stream
+
+# Vectors with zero shares and single cells; bad vectors now and then.
+cell_weights = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6).filter(any)
+cell_vectors = cell_weights.map(lambda ws: [F(w, sum(ws)) for w in ws])
+cell_vector_texts = st.one_of(
+    cell_vectors.map(lambda probs: ",".join(map(str, probs))),
+    st.sampled_from(["", "x", "1/2,1/3", "1/2,-1/2,1", "1/2,,1/2", "2"]),
+)
+any_chunk = st.integers(min_value=1, max_value=64)
+
+
+def oracle_gen_dist(text, n, fmt):
+    probs = cell_dist.parse_probability_vector(text)
+    assignment, sequences = oracle_build_cell_sequences(probs, n)
+    if fmt == "csv":
+        return oracle_cell_csv(assignment, sequences)
+    return "".join(json.dumps(row) + "\n" for row in cell_json_rows(assignment, sequences))
+
+
+def run_main_err(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_main(argv)
+    return code, out, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=cell_vector_texts,
+    n=st.integers(min_value=-2, max_value=300),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=any_chunk,
+)
+def test_gen_dist_stream_matches_materialized_oracle(text, n, fmt, chunk):
+    expected = outcome(lambda: oracle_gen_dist(text, n, fmt))
+    argv = ["gen-dist", "--probs", text, "--n", str(n), "--format", fmt]
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        got = run_main_err(argv)
+        if expected[0] != "ok":
+            # main reports the error on stderr with exit 2 and writes no row.
+            assert got == (2, "", f"error: {expected[1]}\n")
+            return
+        assert got == (0, expected[1], "")
+        probs = cell_dist.parse_probability_vector(text)
+        table = cell_dist.build_cell_sequences(probs, n)
+        assert table == oracle_build_cell_sequences(probs, n)
+        assert cell_dist.cell_csv(*table) == oracle_cell_csv(*table)
+
+
+def _faulty_rows(probs, n, fault, at):
+    """The oracle's rows (t, cell, a_1, ..., a_m) with one fault at row ``at``."""
+    assignment, sequences = oracle_build_cell_sequences(probs, n)
+    rows = [list(row) for row in zip(range(1, n + 1), assignment.entries,
+                                     *(seq.terms for seq in sequences))]
+    m = len(probs)
+    column = rows[at][1] + 1  # the count that steps up at this row
+    if fault == "cell 0":
+        rows[at][1] = 0
+    elif fault == "cell m+1":
+        rows[at][1] = m + 1
+    else:  # shift the column from this row on: its step here becomes 2 or -1
+        for row in rows[at:]:
+            row[column] += 1 if fault == "step 2" else -2
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    probs=cell_vectors,
+    n=st.integers(min_value=1, max_value=120),
+    fault=st.sampled_from(["cell 0", "cell m+1", "step 2", "decrease"]),
+    at=st.integers(min_value=0, max_value=119),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=any_chunk,
+)
+def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fmt, chunk):
+    rows = _faulty_rows(probs, n, fault, at % n)
+    m = len(probs)
+    _, cells, *columns = zip(*rows)
+    expected = outcome(
+        lambda: (CellAssignment(cells, m), [CumulativeSequence(col) for col in columns])
+    )
+    assert expected[0] is ValueError
+    argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
+    with mock.patch.object(cell_dist, "_greedy", lambda den, nums, n: iter(rows)), \
+            mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        code, _, err = run_main_err(argv)
+        assert outcome(lambda: cell_dist.build_cell_sequences(probs, n)) == expected
+    assert (code, err) == (2, f"error: {expected[1]}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(probs=cell_vectors, n=st.integers(min_value=1, max_value=30))
+def test_cell_operator_realization_matches_oracle_table(probs, n):
+    assignment, _ = oracle_build_cell_sequences(probs, n)
+    direct = cell_dist.trials_to_tuples(assignment, len(probs))
+    got = [cell_dist.cell_operator_realization(probs, n, t) for t in range(1, n + 1)]
+    assert got == direct
+
+
 # ------------------------------------------------------------------ CLI bytes
 
 TEN_CELLS = ",".join(["1/10"] * 10)
@@ -641,6 +781,10 @@ class _Sink:
     def write(self, text):
         self.bytes += len(text)
 
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
 
 def _peak_bytes(argv):
     sink = _Sink()
@@ -662,6 +806,8 @@ def _peak_bytes(argv):
         ("gen-seq", "--p", "4093/8191", "--m", "7", "--format", "json"),
         ("gen-nonconv", "--low", "2/7", "--high", "4/7"),
         ("compare", "--p", "4093/8191"),
+        ("gen-dist", "--probs", "1/6,1/3,1/2"),
+        ("gen-dist", "--probs", TEN_CELLS, "--format", "json"),
     ],
 )
 def test_streaming_verbs_memory_is_flat_in_n(argv):
