@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add, sub
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import freq_seq
@@ -160,16 +160,11 @@ def validate_cell_table(
     if len({len(t) for t in tables}) > 1:
         raise ValueError("cell sequences must share one length")
     membership = all(check_cumulative_form(t).ok for t in tables)
-    one_hot = conservation = True
-    unit = [0] * (len(tables) - 1) + [1]  # sorted increments of a one-hot trial
-    prev = (0,) * len(tables)
-    for t, row in enumerate(zip(*tables), 1):
-        one_hot = one_hot and sorted(map(sub, row, prev)) == unit
-        conservation = conservation and sum(row) == t
-        if not (one_hot or conservation):
-            break
-        prev = row
-    return CellTableReport(membership, one_hot, conservation)
+    conservation = list(map(sum, zip(*tables))) == list(range(1, len(tables[0]) + 1))
+    # With integer counts stepping by 0 or 1 in every column, a row sum
+    # stepping by 1 means exactly one column stepped: one-hot is membership
+    # plus conservation.
+    return CellTableReport(membership, membership and conservation, conservation)
 
 
 def discrepancy(
@@ -220,15 +215,12 @@ def trials_to_tuples(assignment: CellAssignment, m: int) -> list[OneHotTrial]:
     """Expand an assignment into per-trial one-hot statement tuples."""
     if m < 1:
         raise ValueError("tuple arity must be positive")
+    out = []
     for t, entry in enumerate(assignment.entries, 1):
         if entry > m:
             raise ValueError(f"trial {t} assigned to cell {entry}, beyond arity {m}")
-    out = []
-    for t, entry in enumerate(assignment.entries, 1):
-        coords = tuple(
-            event(t) if k == entry else non_event(t) for k in range(1, m + 1)
-        )
-        out.append(OneHotTrial(coords))
+        yes, no = event(t), non_event(t)
+        out.append(OneHotTrial((no,) * (entry - 1) + (yes,) + (no,) * (m - entry)))
     return out
 
 

@@ -2,9 +2,10 @@
 
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
-are byte-identical.  gen-seq, gen-nonconv and gen-dist write their rows as
-they are generated and compare counts both streams as they are drawn, so
-their memory does not grow with --n; flags are checked before the first row.
+are byte-identical.  gen-seq, gen-nonconv, gen-dist and realize write their
+output in chunks as it is generated and compare counts both streams as they
+are drawn, so their memory does not grow with --n; flags are checked before
+the first row.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive
 invariant check finds a counterexample.
 """
@@ -119,17 +120,7 @@ def _cmd_gen_dist(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
-    trace = event_seq.realize_trace(p, args.n)
-    op = event_seq.trace_operator(p, args.n)
-    if args.format == "json":
-        payload = {
-            "trials": trace.rows(),
-            "operator": closure_ops.canonical_form(op),
-        }
-        print(json.dumps(payload))
-    else:
-        print(trace.text())
-        print(closure_ops.canonical_form(op))
+    sys.stdout.writelines(event_seq.trace_chunks(p, args.n, args.format))
     return 0
 
 

@@ -17,7 +17,7 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .closure_ops import SourceConditionalOperator, realize
-from .freq_seq import CumulativeSequence, canonical_prefix
+from .freq_seq import CumulativeSequence, canonical_pairs, canonical_prefix, checked_chunks
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
@@ -64,12 +64,6 @@ class LabeledEventSequence:
 
     def text(self) -> str:
         return " ".join(str(entry) for entry in self.entries)
-
-    def rows(self) -> list[dict]:
-        return [
-            {"trial": j, "event": entry.kind is StatementKind.EVENT}
-            for j, entry in enumerate(self.entries, 1)
-        ]
 
 
 def differences(terms: Iterable[int]) -> Iterator[int]:
@@ -120,3 +114,42 @@ def realize_trace(p: Fraction | int, n: int) -> LabeledEventSequence:
     produced = realize(op, {op.source})
     ordered = sorted(produced, key=lambda s: s.label or 0)
     return LabeledEventSequence(tuple(ordered))
+
+
+_TOKENS = ("E'_%d", "E_%d")  # str(non_event(j)), str(event(j)), by outcome bit
+_JSON_TRIALS = ('{"trial": %d, "event": false}', '{"trial": %d, "event": true}')
+
+
+def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
+    """``realize``'s output for p and n as CSV or JSON text, a chunk at a time.
+
+    Both parts list the labeled outcomes in trial order: the trace
+    ``E'_1 E_2 ...`` and the operator ``C({E'_1,E_2,...},{G})``, whose
+    attachments sort by label because each label carries one outcome.  So
+    each part is rendered from its own pass of ``canonical_pairs(p, n)`` in
+    ``checked_chunks``, and the text equals ``realize_trace(p, n).text()``
+    and ``canonical_form(trace_operator(p, n))`` on two lines, or
+    ``json.dumps`` of ``{"trials": rows, "operator": form}`` on one.  The
+    arguments are checked here, before the first chunk.
+    """
+    canonical_pairs(p, n)  # raises on bad arguments
+    return _trace_chunks(p, n, fmt)
+
+
+def _trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
+    if fmt == "csv":
+        parts = (("", _TOKENS, " "), ("\nC({", _TOKENS, ","))
+    else:
+        parts = (('{"trials": [', _JSON_TRIALS, ", "), ('], "operator": "C({', _TOKENS, ","))
+    for head, templates, sep in parts:
+        yield head
+        lead, prev = "", 0
+        for chunk in checked_chunks(canonical_pairs(p, n)):
+            trials, terms = zip(*chunk)
+            bits = map(sub, terms, itertools.chain((prev,), terms))
+            text = lead + sep.join(map(str.__mod__, map(templates.__getitem__, bits), trials))
+            lead, prev = sep, terms[-1]
+            del chunk, trials, terms, bits  # build the next chunk without this one
+            yield text
+            del text
+    yield "},{G})\n" if fmt == "csv" else '},{G})"}\n'

@@ -278,16 +278,13 @@ def json_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
     return [f'{{"n": {k}, "a": {a}, "freq": [{a}, {k}]}}\n' for k, a in pairs]
 
 
-def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
-    """Render (k, a(k)) pairs as CSV (header first) or JSON lines, a chunk at a time.
+def checked_chunks(pairs: Iterable[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
+    """(k, a(k)) pairs in lists of ``ROWS_PER_CHUNK``, each checked before it is yielded.
 
-    Each chunk is checked before it is rendered: a(k) - a(k-1) must be 0 or
-    1 with a(0) = 0, and a violation raises the error ``CumulativeSequence``
-    raises, so a stream is checked exactly as the materialized sequence is.
+    a(k) - a(k-1) must be 0 or 1 with a(0) = 0, and a violation raises the
+    error ``CumulativeSequence`` raises, so a stream is checked exactly as
+    the materialized sequence is.
     """
-    render = csv_rows if fmt == "csv" else json_rows
-    if fmt == "csv":
-        yield _CSV_HEADER_LINE
     pairs = iter(pairs)
     done = prev = 0
     while chunk := list(islice(pairs, ROWS_PER_CHUNK)):
@@ -297,7 +294,16 @@ def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]
             raise _form_error(done + bad + 1)
         done += len(chunk)
         prev = terms[-1]
-        yield "".join(render(chunk))
+        yield chunk
+        del chunk, terms  # read the next chunk without holding this one
+
+
+def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
+    """Render pairs as CSV (header first) or JSON lines, one string per ``checked_chunks`` chunk."""
+    render = csv_rows if fmt == "csv" else json_rows
+    if fmt == "csv":
+        yield _CSV_HEADER_LINE
+    yield from map("".join, map(render, checked_chunks(pairs)))
 
 
 def sequence_csv(seq: CumulativeSequence) -> str:

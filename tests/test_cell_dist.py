@@ -84,6 +84,22 @@ def oracle_validate_cell_table(sequences, probs):
     return CellTableReport(membership, one_hot, conservation)
 
 
+def oracle_trials_to_tuples(assignment, m):
+    """One ``Statement`` per coordinate: the oracle of ``trials_to_tuples``."""
+    if m < 1:
+        raise ValueError("tuple arity must be positive")
+    for t, entry in enumerate(assignment.entries, 1):
+        if entry > m:
+            raise ValueError(f"trial {t} assigned to cell {entry}, beyond arity {m}")
+    out = []
+    for t, entry in enumerate(assignment.entries, 1):
+        coords = tuple(
+            event(t) if k == entry else non_event(t) for k in range(1, m + 1)
+        )
+        out.append(OneHotTrial(coords))
+    return out
+
+
 def outcome(call):
     try:
         return ("ok", call())
@@ -360,3 +376,23 @@ def test_cell_table_from_csv_rejects_trailing_blank_line():
     with pytest.raises(ValueError, match="^inconsistent cell CSV row 4$"):
         cell_table_from_csv(_quarters_csv() + "\n")
     assert cell_table_from_csv(_quarters_csv()) == build_cell_sequences(QUARTERS, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.integers(min_value=1, max_value=6), max_size=40),
+    m=st.integers(min_value=0, max_value=7),
+)
+def test_trials_to_tuples_matches_statement_per_coordinate_oracle(entries, m):
+    assignment = CellAssignment(entries, max(entries, default=1))
+    expected = outcome(lambda: oracle_trials_to_tuples(assignment, m))
+    assert outcome(lambda: trials_to_tuples(assignment, m)) == expected
+
+
+def test_validate_cell_table_conservation_without_one_hot():
+    """Row sums 1, 2, ... while a column jumps by 2 or falls: not one-hot."""
+    halves = (F(1, 2), F(1, 2))
+    for table in ([[0, 2], [1, 0]], [[1, 0, 1], [0, 2, 2]], [[0, 2, 3], [1, 0, 0]]):
+        report = validate_cell_table(table, halves)
+        assert report == oracle_validate_cell_table(table, halves)
+        assert (report.membership, report.one_hot, report.conservation) == (False, False, True)

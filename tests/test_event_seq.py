@@ -20,7 +20,7 @@ from freqmimic.event_seq import (
     trace_operator,
 )
 from freqmimic.freq_seq import canonical_prefix, truncate_freeze
-from freqmimic.language_core import event, non_event, source_statement
+from freqmimic.language_core import StatementKind, event, non_event, source_statement
 
 F = Fraction
 
@@ -31,6 +31,14 @@ def singleton_operators(p, n):
     source = source_statement()
     return [
         SourceConditionalOperator(frozenset({entry}), source) for entry in labeled.entries
+    ]
+
+
+def rows(labeled):
+    """JSON rows of a labeled sequence: the oracle of ``realize --format json``."""
+    return [
+        {"trial": j, "event": entry.kind is StatementKind.EVENT}
+        for j, entry in enumerate(labeled.entries, 1)
     ]
 
 
@@ -118,7 +126,7 @@ def test_labeled_sequence_validates_positions():
 
 def test_labeled_rows():
     labeled = label_events(BinaryTrialSequence((1, 0)))
-    assert labeled.rows() == [
+    assert rows(labeled) == [
         {"trial": 1, "event": True},
         {"trial": 2, "event": False},
     ]

@@ -30,10 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqmimic import cell_dist, freq_seq, stats_harness
+from freqmimic import cell_dist, event_seq, freq_seq, stats_harness
 from freqmimic.cell_dist import CellAssignment
 from freqmimic.cli import main
-from freqmimic.event_seq import BinaryTrialSequence, differences
+from freqmimic.closure_ops import canonical_form
+from freqmimic.event_seq import BinaryTrialSequence, differences, realize_trace, trace_operator
 from freqmimic.freq_seq import (
     CSV_HEADER,
     CumulativeSequence,
@@ -46,6 +47,7 @@ from freqmimic.freq_seq import (
     sequence_from_csv,
     truncate_freeze,
 )
+from freqmimic.language_core import event, non_event
 from freqmimic.stats_harness import (
     PRNG_VERSION,
     BitCounts,
@@ -55,6 +57,7 @@ from freqmimic.stats_harness import (
     count_bits,
     reports_csv,
 )
+from test_event_seq import rows
 
 F = Fraction
 
@@ -724,6 +727,75 @@ def test_cell_operator_realization_matches_oracle_table(probs, n):
     assert got == direct
 
 
+# ------------------------------------------------------------------ realize
+
+
+def oracle_realize(p, n, fmt):
+    """realize's output through the operator route: realize C(outcomes,{G}) on {G}."""
+    trace = realize_trace(p, n)
+    form = canonical_form(trace_operator(p, n))
+    if fmt == "json":
+        return json.dumps({"trials": rows(trace), "operator": form}) + "\n"
+    return f"{trace.text()}\n{form}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(probabilities, st.sampled_from([F(-1, 2), F(3, 2)])),
+    n=st.integers(min_value=-2, max_value=300),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=any_chunk,
+)
+def test_realize_stream_matches_operator_route(p, n, fmt, chunk):
+    expected = outcome(lambda: oracle_realize(p, n, fmt))
+    argv = ["realize", f"--p={p}", "--n", str(n), "--format", fmt]
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        got = run_main_err(argv)
+    if expected[0] == "ok":
+        assert got == (0, expected[1], "")
+    else:
+        # main reports the error on stderr with exit 2 and writes nothing.
+        assert got == (2, "", f"error: {expected[1]}\n")
+
+
+def test_trace_chunks_checks_arguments_when_called():
+    for p, n in ((F(1, 2), -1), (F(3, 2), 10**9), (F(-1, 2), 10**9)):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError):
+                event_seq.trace_chunks(p, n, fmt)  # raises before any chunk is asked for
+
+
+def test_trace_tokens_render_the_statements():
+    for j in (1, 2, 9, 10, 16385, 10**12):
+        assert event_seq._TOKENS[1] % j == str(event(j))
+        assert event_seq._TOKENS[0] % j == str(non_event(j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=120),
+    fault=st.sampled_from(["step 2", "decrease"]),
+    at=st.integers(min_value=0, max_value=119),
+    fmt=st.sampled_from(["csv", "json"]),
+    chunk=any_chunk,
+)
+def test_realize_stream_check_raises_the_materialized_error(n, fault, at, fmt, chunk):
+    terms = list(oracle_canonical_prefix(F(1, 3), n).terms)
+    at %= n
+    step = terms[at] - (terms[at - 1] if at else 0)
+    shift = (2 if fault == "step 2" else -1) - step
+    for k in range(at, n):  # the step into trial at + 1 becomes 2 or -1
+        terms[k] += shift
+    expected = outcome(lambda: CumulativeSequence(terms))
+    assert expected[0] is ValueError
+    pairs = list(enumerate(terms, 1))
+    argv = ["realize", "--p", "1/3", "--n", str(n), "--format", fmt]
+    with mock.patch.object(event_seq, "canonical_pairs", lambda p, n: iter(pairs)), \
+            mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        code, _, err = run_main_err(argv)
+    assert (code, err) == (2, f"error: {expected[1]}\n")
+
+
 # ------------------------------------------------------------------ CLI bytes
 
 TEN_CELLS = ",".join(["1/10"] * 10)
@@ -808,6 +880,8 @@ def _peak_bytes(argv):
         ("compare", "--p", "4093/8191"),
         ("gen-dist", "--probs", "1/6,1/3,1/2"),
         ("gen-dist", "--probs", TEN_CELLS, "--format", "json"),
+        ("realize", "--p", "4093/8191"),
+        ("realize", "--p", "4093/8191", "--format", "json"),
     ],
 )
 def test_streaming_verbs_memory_is_flat_in_n(argv):
