@@ -12,14 +12,11 @@ from .language_core import (
     Statement,
     StatementKind,
     event,
-    language_of,
-    make_statement,
     non_event,
     prefix_language,
     source_statement,
     statement_key,
     tick_render,
-    trial_language,
 )
 from .closure_ops import (
     AxiomReport,
@@ -44,7 +41,6 @@ from .freq_seq import (
     DeviationCheck,
     FormCheck,
     FrequencyPoint,
-    Probability,
     backshift_variant,
     build_nonconvergent,
     canonical_prefix,

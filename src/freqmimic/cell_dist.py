@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from . import freq_seq
 from .closure_ops import SourceConditionalOperator, realize_product
-from .freq_seq import CumulativeSequence, check_cumulative_form, parse_probability
+from .freq_seq import CumulativeSequence, check_cumulative_form, checked_chunks, parse_probability
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
@@ -256,25 +255,23 @@ def cell_chunks(rows: Iterable[tuple[int, ...]], m: int, fmt: str) -> Iterator[s
     For ints a row's %-template writes the bytes of ``csv.writer``, or of
     ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
     Each chunk is checked before it is rendered as the materialized table is:
-    cells in 1..m (the ``CellAssignment`` error), then each count column
-    rising by 0 or 1 from 0 (the ``CumulativeSequence`` error).
+    each count column rising by 0 or 1 from 0 in ``freq_seq.checked_chunks``
+    (the ``CumulativeSequence`` error), then cells in 1..m (the
+    ``CellAssignment`` error).
     """
     if fmt == "csv":
         yield ",".join(_header(m)) + "\n"
         template = ",".join(["%s"] * (m + 2)) + "\n"
     else:
         template = '{"trial": %s, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
-    rows, done, prev = iter(rows), 0, (0,) * m
-    while chunk := list(islice(rows, freq_seq.ROWS_PER_CHUNK)):
-        _, cells, *columns = zip(*chunk)
-        _check_cells(cells, m, done)
-        for column, before in zip(columns, prev):
-            bad = freq_seq._first_bad_step(column, before)
-            if bad is not None:
-                raise freq_seq._form_error(done + bad + 1)
+    done = 0
+    for chunk in checked_chunks(rows, 2):
+        _check_cells(list(map(itemgetter(1), chunk)), m, done)
         done += len(chunk)
-        prev = chunk[-1][2:]
-        yield "".join(map(template.__mod__, chunk))
+        text = "".join(map(template.__mod__, chunk))
+        del chunk  # read and render the next chunk without this one or its text
+        yield text
+        del text
 
 
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:

@@ -13,12 +13,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import Iterable, Iterator
+from operator import countOf, sub
+from typing import Iterable, Iterator, Sequence
 
 from .closure_ops import SourceConditionalOperator, realize
 from .freq_seq import CumulativeSequence, canonical_pairs, canonical_prefix, checked_chunks
 from .language_core import Statement, StatementKind, event, non_event, source_statement
+
+
+def count_ones(bits: Sequence[int], done: int = 0) -> int:
+    """The 1s in ``bits``; the first entry not 0 or 1 raises, as trial ``done`` + its position."""
+    ones = countOf(bits, 1)
+    if ones + countOf(bits, 0) != len(bits):
+        bad = next(i for i, bit in enumerate(bits, done + 1) if bit not in (0, 1))
+        raise ValueError(f"trial {bad} outcome must be 0 or 1")
+    return ones
 
 
 @dataclass(frozen=True)
@@ -29,9 +38,7 @@ class BinaryTrialSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(self.bits))
-        for i, bit in enumerate(self.bits, 1):
-            if bit not in (0, 1):
-                raise ValueError(f"trial {i} outcome must be 0 or 1")
+        count_ones(self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -17,8 +17,6 @@ from itertools import chain, islice, repeat
 from operator import floordiv, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-Probability = Fraction
-
 
 def parse_probability(text: str) -> Fraction:
     """Parse 'num/den' or exact decimal text ('0.25' becomes 1/4)."""
@@ -278,24 +276,25 @@ def json_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
     return [f'{{"n": {k}, "a": {a}, "freq": [{a}, {k}]}}\n' for k, a in pairs]
 
 
-def checked_chunks(pairs: Iterable[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-    """(k, a(k)) pairs in lists of ``ROWS_PER_CHUNK``, each checked before it is yielded.
+def checked_chunks(rows: Iterable[tuple], first: int = 1) -> Iterator[list[tuple]]:
+    """Rows in lists of ``ROWS_PER_CHUNK``, each checked before it is yielded.
 
-    a(k) - a(k-1) must be 0 or 1 with a(0) = 0, and a violation raises the
-    error ``CumulativeSequence`` raises, so a stream is checked exactly as
-    the materialized sequence is.
+    Every field from index ``first`` on is a count column: it must start at
+    0 or 1 and step by 0 or 1, and a violation raises the error
+    ``CumulativeSequence`` raises for that column, so a stream is checked
+    exactly as the materialized columns are.
     """
-    pairs = iter(pairs)
-    done = prev = 0
-    while chunk := list(islice(pairs, ROWS_PER_CHUNK)):
-        terms = list(map(itemgetter(1), chunk))
-        bad = _first_bad_step(terms, prev)
-        if bad is not None:
-            raise _form_error(done + bad + 1)
+    rows = iter(rows)
+    done, prev = 0, repeat(0)
+    while chunk := list(islice(rows, ROWS_PER_CHUNK)):
+        for k, before in zip(range(first, len(chunk[0])), prev):
+            bad = _first_bad_step(list(map(itemgetter(k), chunk)), before)
+            if bad is not None:
+                raise _form_error(done + bad + 1)
         done += len(chunk)
-        prev = terms[-1]
+        prev = chunk[-1][first:]
         yield chunk
-        del chunk, terms  # read the next chunk without holding this one
+        del chunk  # read the next chunk without holding this one
 
 
 def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
@@ -314,23 +313,40 @@ def sequence_csv(seq: CumulativeSequence) -> str:
 def sequence_from_csv(text: str) -> CumulativeSequence:
     """Parse ``sequence_csv`` output back into a sequence, checking columns.
 
-    Text exactly as ``sequence_csv`` writes it (every line ``k,a,a,k`` with
-    ASCII-digit ``a``) is read by re-rendering its ``a`` column and comparing;
-    anything else goes through ``csv`` in ``_sequence_from_csv_slow``, so the
-    inputs accepted, the results and the errors are those of the csv reader.
+    Text exactly as ``sequence_csv`` writes it (line k is ``k,a,a,k`` with
+    ASCII-digit ``a``) is read by comparing its split columns; anything else
+    goes through ``csv`` in ``_sequence_from_csv_slow``, so the inputs
+    accepted, the results and the errors are those of the csv reader.
     """
-    if text.startswith(_CSV_HEADER_LINE):
-        body = text[len(_CSV_HEADER_LINE):]
-        column = body.split(",")[1::3]
+    if text.startswith(_CSV_HEADER_LINE) and text.endswith("\n"):
+        # Split on ",", row k gives a, a, then freq_den "k\n" fused with row k+1's n;
+        # the final newline keeps the last of these fields to row n alone.
+        fields = text[len(_CSV_HEADER_LINE):].split(",")
+        column = fields[1::3]
         digits = "".join(column)
         if (
-            digits.isascii()
+            len(fields) % 3 == 1
+            and digits.isascii()
             and digits.isdigit()
             and all(column)
-            and "".join(csv_rows(enumerate(column, 1))) == body
+            and fields[2::3] == column
+            and _index_columns(len(column)).startswith(",".join(fields[0::3]))
         ):
             return CumulativeSequence(tuple(map(int, column)))
     return _sequence_from_csv_slow(text)
+
+
+_HUNDRED = "".join(f"{{0}}{d:02},{{0}}{d:02}\n" for d in range(100))
+
+
+def _index_columns(n: int) -> str:
+    """``1,1\\n2,2\\n...`` through at least row n: the n and freq_den columns of CSV.
+
+    Rows 100q to 100q+99 share the digits of q, so a block of 100 rows is one
+    ``str.format`` of q's text rather than 200 int-to-text conversions.
+    """
+    head = "".join(f"{k},{k}\n" for k in range(1, 100))
+    return head + "".join(map(_HUNDRED.format, map(str, range(1, n // 100 + 1))))
 
 
 def _sequence_from_csv_slow(text: str) -> CumulativeSequence:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 TICK = "|"
 
@@ -72,10 +72,6 @@ class Statement:
         return str(self)
 
 
-def make_statement(kind: StatementKind, label: int | None = None) -> Statement:
-    return Statement(kind, label)
-
-
 def source_statement() -> Statement:
     return Statement(StatementKind.SOURCE)
 
@@ -129,21 +125,6 @@ class Language:
             if s.kind is StatementKind.SOURCE:
                 return s
         return None
-
-
-def language_of(statements: Iterable[Statement]) -> Language:
-    return Language(frozenset(statements))
-
-
-def trial_language(trials: int) -> Language:
-    """The source plus both outcome statements for trials 1..trials."""
-    if trials < 0:
-        raise ValueError("trial count must be non-negative")
-    members = {source_statement()}
-    for j in range(1, trials + 1):
-        members.add(event(j))
-        members.add(non_event(j))
-    return Language(frozenset(members))
 
 
 def prefix_language(size: int) -> Language:

@@ -23,7 +23,7 @@ from itertools import chain, islice
 from operator import countOf, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .event_seq import BinaryTrialSequence
+from .event_seq import BinaryTrialSequence, count_ones
 from .freq_seq import check_probability
 
 PRNG_VERSION = "splitmix64-v1"
@@ -123,10 +123,7 @@ def count_bits(bits: Iterable[int]) -> BitCounts:
     n = ones = changes = 0
     prev = None
     while chunk := list(islice(bits, _BITS_PER_CHUNK)):
-        chunk_ones = countOf(chunk, 1)
-        if chunk_ones + countOf(chunk, 0) != len(chunk):
-            bad = next(i for i, bit in enumerate(chunk) if bit not in (0, 1))
-            raise ValueError(f"trial {n + bad + 1} outcome must be 0 or 1")
+        chunk_ones = count_ones(chunk, n)
         if prev is None:
             prev = chunk[0]
         changes += countOf(map(ne, chunk, chain((prev,), chunk)), True)
@@ -179,9 +176,8 @@ def frequency_test(
 ) -> TestReport:
     """One-proportion z-test: z = (x - n*p) / sqrt(n*p*(1-p))."""
     p = check_probability(p)
-    n = bits.n if isinstance(bits, BitCounts) else len(bits)
+    n, x, _ = _counts(bits)
     crit = check_frequency_args(n, p, alpha)
-    x = bits.ones
     z = float(x - n * p) / math.sqrt(float(n * p * (1 - p)))
     return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
 

@@ -29,6 +29,14 @@ def run_cli(*argv):
     )
 
 
+def test_import_loads_no_serialization_or_cli_modules():
+    """``import freqmimic`` leaves csv, json and argparse to the code paths that use them."""
+    probe = "import sys, freqmimic; print(sorted({'csv', 'json', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_gen_seq_csv_golden():
     proc = run_cli("gen-seq", "--p", "1/2", "--n", "8")
     assert proc.returncode == 0

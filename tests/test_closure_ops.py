@@ -23,11 +23,9 @@ from freqmimic.closure_ops import (
 )
 from freqmimic.language_core import (
     event,
-    language_of,
     non_event,
     prefix_language,
     source_statement,
-    trial_language,
 )
 from test_axiom_oracle import enumerate_self_maps
 
@@ -140,7 +138,7 @@ def test_extensionalize_empty_attachments_is_identity():
 
 def test_extensionalize_rejects_large_language():
     with pytest.raises(CapacityError):
-        extensionalize(family(), trial_language(6))  # 13 statements
+        extensionalize(family(), prefix_language(13))
 
 
 def test_extensionalize_rejects_foreign_attachments():

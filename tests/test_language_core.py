@@ -9,14 +9,11 @@ from freqmimic.language_core import (
     Statement,
     StatementKind,
     event,
-    language_of,
-    make_statement,
     non_event,
     prefix_language,
     source_statement,
     statement_key,
     tick_render,
-    trial_language,
 )
 
 
@@ -24,11 +21,6 @@ def test_statement_rendering():
     assert str(source_statement()) == "G"
     assert str(event(3)) == "E_3"
     assert str(non_event(3)) == "E'_3"
-
-
-def test_make_statement_matches_helpers():
-    assert make_statement(StatementKind.EVENT, 2) == event(2)
-    assert make_statement(StatementKind.SOURCE) == source_statement()
 
 
 def test_event_and_non_event_same_label_are_distinct():
@@ -78,22 +70,16 @@ def test_language_requires_statements():
 
 
 def test_language_allows_at_most_one_source():
-    lang = language_of([source_statement(), event(1), source_statement()])
+    lang = Language(frozenset([source_statement(), event(1), source_statement()]))
     assert len(lang) == 2  # duplicates collapse, still one source
     assert lang.source == source_statement()
 
 
 def test_language_without_source():
-    lang = language_of([event(1), non_event(1)])
+    lang = Language(frozenset([event(1), non_event(1)]))
     assert lang.source is None
     assert event(1) in lang
     assert source_statement() not in lang
-
-
-def test_trial_language_size():
-    lang = trial_language(2)
-    assert len(lang) == 5
-    assert {event(1), non_event(1), event(2), non_event(2)} <= lang.statements
 
 
 def test_prefix_language_order():

@@ -9,6 +9,7 @@ pair and row generators, the fast reader and the one-pass counts must match
 them byte for byte, value for value, and error for error.
 """
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -327,6 +328,7 @@ bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=300)
 cumulative = bit_lists.map(lambda bits: CumulativeSequence(tuple(itertools.accumulate(bits))))
 # Small chunks put every chunk boundary inside the drawn inputs.
 small_chunks = st.sampled_from([1, 2, 3, 7, 64])
+any_chunk = st.integers(min_value=1, max_value=64)
 
 
 # ------------------------------------------------------------------ writers
@@ -403,6 +405,40 @@ def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         got = outcome(lambda: "".join(sequence_chunks(enumerate(terms, 1), fmt)))
     assert got == expected
+
+
+def oracle_checked_chunks(rows, first, chunk):
+    """Chunks of ``chunk`` rows, ended by the first count column whose prefix
+    through the chunk is not a ``CumulativeSequence``: (chunks, error or None)."""
+    chunks = []
+    for end in range(chunk, len(rows) + chunk, chunk):
+        for k in range(first, len(rows[0])):
+            error = outcome(lambda: CumulativeSequence([row[k] for row in rows[:end]]))
+            if error[0] != "ok":
+                return chunks, error
+        chunks.append(rows[end - chunk:end])
+    return chunks, None
+
+
+def drain_checked_chunks(rows, first):
+    chunks = []
+    error = outcome(lambda: chunks.extend(freq_seq.checked_chunks(iter(rows), first)))
+    return chunks, None if error[0] == "ok" else error
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(min_value=2, max_value=5), chunk=any_chunk)
+def test_checked_chunks_raises_each_columns_sequence_error(data, width, chunk):
+    """Every column from ``first`` on fails as its own CumulativeSequence would."""
+    first = data.draw(st.integers(min_value=1, max_value=width - 1))
+    n = data.draw(st.integers(min_value=1, max_value=150))
+    steps = st.lists(st.sampled_from([0, 1] * 6 + [2, -1]), min_size=n, max_size=n)
+    columns = [range(1, n + 1)] * first + [
+        list(itertools.accumulate(data.draw(steps))) for _ in range(width - first)
+    ]
+    rows = list(zip(*columns))
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        assert drain_checked_chunks(rows, first) == oracle_checked_chunks(rows, first, chunk)
 
 
 def test_cumulative_form_check_keeps_comparison_semantics():
@@ -635,7 +671,6 @@ cell_vector_texts = st.one_of(
     cell_vectors.map(lambda probs: ",".join(map(str, probs))),
     st.sampled_from(["", "x", "1/2,1/3", "1/2,-1/2,1", "1/2,,1/2", "2"]),
 )
-any_chunk = st.integers(min_value=1, max_value=64)
 
 
 def oracle_gen_dist(text, n, fmt):
@@ -895,3 +930,43 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
         small = _peak_bytes([*argv, "--n", "5000"])
         large = _peak_bytes([*argv, "--n", "20000"])
     assert large - small < 100_000, (small, large)
+
+
+def probed_rows(rows, chunk, held):
+    """Yield ``rows``; as the first row of each chunk after the first is
+    pulled, append to ``held`` the references the consumer still holds to
+    the rows of the chunk before (CPython reference counts)."""
+    rows = list(rows)
+
+    def refs(j):
+        return sys.getrefcount(rows[j])
+
+    before = [refs(j) for j in range(len(rows))]
+
+    def pull():
+        for i in range(len(rows)):
+            if i and i % chunk == 0:
+                held.append(sum(refs(j) - before[j] for j in range(i - chunk, i)))
+            yield rows[i]
+
+    return pull()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("verb", ["sequence_chunks", "cell_chunks", "trace_chunks"])
+def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
+    chunk, n, held = 8, 60, []
+    pairs = list(canonical_pairs(F(2, 5), n))
+    streams = {
+        "sequence_chunks": lambda: sequence_chunks(probed_rows(pairs, chunk, held), fmt),
+        "cell_chunks": lambda: cell_dist.cell_chunks(
+            probed_rows(cell_dist.cell_rows([F(1, 6), F(1, 3), F(1, 2)], n), chunk, held), 3, fmt
+        ),
+        "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), n, fmt),  # two passes
+    }
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
+            mock.patch.object(event_seq, "canonical_pairs",
+                              lambda p, n: probed_rows(pairs, chunk, held)):
+        collections.deque(streams[verb](), maxlen=0)
+    assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)
+    assert set(held) == {0}, held
