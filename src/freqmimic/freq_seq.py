@@ -336,17 +336,19 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
     return _sequence_from_csv_slow(text)
 
 
-_HUNDRED = "".join(f"{{0}}{d:02},{{0}}{d:02}\n" for d in range(100))
+# q.join(_HUNDRED) is rows 100q to 100q+99: "q00,q00\nq01,q01\n...q99,q99\n".
+_HUNDRED = ["", *(f"{d:02}{end}" for d in range(100) for end in ",\n")]
 
 
 def _index_columns(n: int) -> str:
     """``1,1\\n2,2\\n...`` through at least row n: the n and freq_den columns of CSV.
 
     Rows 100q to 100q+99 share the digits of q, so a block of 100 rows is one
-    ``str.format`` of q's text rather than 200 int-to-text conversions.
+    ``str.join`` with q's text as the separator rather than 200 int-to-text
+    conversions.
     """
     head = "".join(f"{k},{k}\n" for k in range(1, 100))
-    return head + "".join(map(_HUNDRED.format, map(str, range(1, n // 100 + 1))))
+    return head + "".join([str(q).join(_HUNDRED) for q in range(1, n // 100 + 1)])
 
 
 def _sequence_from_csv_slow(text: str) -> CumulativeSequence:

@@ -17,6 +17,7 @@ from freqmimic.stats_harness import (
     chi_square_cells,
     compare,
     frequency_test,
+    prng_bits,
     reports_csv,
     reports_from_csv,
     runs_test,
@@ -56,6 +57,14 @@ def test_prng_frozen_prefix_seed_42():
     # stream format is no longer splitmix64-v1
     got = bernoulli_prng(F(1, 2), 16, 42)
     assert got.bits == (0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1)
+
+
+def test_prng_matches_published_splitmix64_outputs():
+    # the first outputs of Vigna's reference splitmix64.c for seed 0; trial t
+    # succeeds exactly when z_t < p * 2**64, so p = z_t / 2**64 sits on the edge
+    for t, z in enumerate([0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]):
+        assert list(prng_bits(F(z, 1 << 64), 3, 0))[t] == 0
+        assert list(prng_bits(F(z + 1, 1 << 64), 3, 0))[t] == 1
 
 
 def test_prng_seed_range_edges():

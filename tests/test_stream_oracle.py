@@ -498,6 +498,12 @@ def test_reader_fast_path_skips_the_csv_reader():
         assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), 50)
 
 
+@pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
+def test_index_columns_start_with_the_naive_rows(n):
+    naive = "".join(f"{k},{k}\n" for k in range(1, n + 1))
+    assert freq_seq._index_columns(n).startswith(naive)
+
+
 # ------------------------------------------------------------------ counts
 
 
@@ -566,6 +572,52 @@ def test_prng_matches_oracle(p, n, seed):
     expected = oracle_bernoulli_prng(p, n, seed)
     assert stats_harness.bernoulli_prng(p, n, seed) == expected
     assert tuple(stats_harness.prng_bits(p, n, seed)) == expected.bits
+
+
+# Thresholds at the edges of the packed comparison: z < 2**32, z < 2**64 - 1,
+# and a denominator above 2**64.
+prng_probabilities = st.one_of(
+    probabilities,
+    st.sampled_from([F(1, 1 << 32), F(_MASK64, 1 << 64), F(1, (1 << 64) + 1)]),
+)
+prng_seeds = st.one_of(st.sampled_from([0, _MASK64]), st.integers(min_value=0, max_value=_MASK64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=prng_probabilities,
+    n=st.integers(min_value=0, max_value=200),
+    seed=prng_seeds,
+    lanes=small_chunks,
+)
+def test_packed_lanes_match_oracle(p, n, seed, lanes):
+    # few lanes put several chunk boundaries, and a short last chunk, inside n
+    expected = oracle_bernoulli_prng(p, n, seed)
+    with mock.patch.object(stats_harness, "_LANES", lanes):
+        assert tuple(stats_harness.prng_bits(p, n, seed)) == expected.bits
+        assert stats_harness.bernoulli_prng(p, n, seed) == expected
+        assert tuple(stats_harness.prng_counts(p, n, seed)) == oracle_counts(expected.bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=prng_probabilities, n=st.integers(min_value=0, max_value=9000), seed=prng_seeds)
+def test_prng_counts_match_oracle_across_full_chunks(p, n, seed):
+    expected = oracle_bernoulli_prng(p, n, seed)
+    assert stats_harness.prng_counts(p, n, seed) == oracle_counts(expected.bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=probabilities,
+    n=st.integers(min_value=-2, max_value=5),
+    seed=st.integers(min_value=-1, max_value=1 << 64),
+)
+def test_prng_counts_reject_what_the_oracle_rejects(p, n, seed):
+    expected = outcome(lambda: oracle_counts(oracle_bernoulli_prng(p, n, seed).bits))
+    assert outcome(lambda: tuple(stats_harness.prng_counts(p, n, seed))) == expected
+    assert outcome(lambda: tuple(stats_harness.prng_bits(p, n, seed))) == outcome(
+        lambda: oracle_bernoulli_prng(p, n, seed).bits
+    )
 
 
 @settings(max_examples=60, deadline=None)
