@@ -2,12 +2,12 @@
 
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
-are byte-identical.  gen-seq, gen-nonconv, gen-dist and realize write their
-output in chunks as it is generated and compare counts both streams as they
-are drawn, so their memory does not grow with --n; flags are checked before
-the first row.
-Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive
-invariant check finds a counterexample.
+are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
+alone (k is their position), gen-dist its greedy rows, each written a
+checked chunk at a time; compare counts both streams as they are drawn.  So
+memory does not grow with --n; flags are checked before the first row.
+Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant
+check finds a counterexample (check-axioms names it on stderr).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
 from typing import Sequence
 
 from . import cell_dist, closure_ops, event_seq, freq_seq, language_core, stats_harness
@@ -98,16 +97,16 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_gen_seq(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
-    pairs = freq_seq.canonical_pairs(p, args.n, args.m)
-    sys.stdout.writelines(freq_seq.sequence_chunks(pairs, args.format))
+    terms = freq_seq.canonical_terms(p, args.n, args.m)
+    sys.stdout.writelines(freq_seq.sequence_chunks(terms, args.format))
     return 0
 
 
 def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
     low = freq_seq.parse_probability(args.low)
     high = freq_seq.parse_probability(args.high)
-    pairs = freq_seq.nonconvergent_pairs(low, high, args.n)
-    sys.stdout.writelines(freq_seq.sequence_chunks(pairs, args.format))
+    terms = freq_seq.nonconvergent_terms(low, high, args.n)
+    sys.stdout.writelines(freq_seq.sequence_chunks(terms, args.format))
     return 0
 
 
@@ -137,19 +136,39 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     size = 4 if args.language_size is None else args.language_size
-    reports = [report for _, report in closure_ops.family_reports(size)]
+    reports, failing = [], []  # failing keeps its operators' attachments for the witnesses
+    for attachments, report in closure_ops.family_reports(size):
+        if not report.all_ok:
+            failing.append((len(reports), attachments, report))
+        reports.append(report)
     for name, field in _AXIOM_FIELDS:
         print(f"{name}: {'PASS' if all(getattr(r, field) for r in reports) else 'FAIL'}")
     print(f"operators checked: {len(reports)}")
-    return 0 if all(report.all_ok for report in reports) else 1
+    if failing:
+        _print_witnesses(failing, len(reports))
+    return 1 if failing else 0
+
+
+def _print_witnesses(failing: list, total: int) -> None:
+    """On stderr: each failing axiom's first operator and counterexample, and operators per size."""
+    sizes = [(i + 2).bit_length() - 1 for i in range(total)]  # size s holds the next 2**s
+    render = closure_ops.render_statement_set
+    for name, field in _AXIOM_FIELDS:
+        for i, attachments, report in failing:
+            if not getattr(report, field):
+                witness = ", ".join(map(render, report.counterexample))
+                print(f"{name}: counterexample {witness} for C({render(attachments)},{{G}})"
+                      f" on language size {sizes[i]}", file=sys.stderr)
+                break
+    counts = ", ".join(f"{s}: {sizes.count(s)}" for s in sorted(set(sizes)))
+    print(f"operators per language size: {counts}", file=sys.stderr)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
     stats_harness.check_seed(args.seed)
-    pairs = freq_seq.canonical_pairs(p, args.n)
+    terms = freq_seq.canonical_terms(p, args.n)
     stats_harness.check_frequency_args(args.n, p, args.alpha)
-    terms = map(itemgetter(1), pairs)
     designed = stats_harness.count_bits(event_seq.differences(terms))
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":

@@ -17,7 +17,7 @@ from operator import countOf, sub
 from typing import Iterable, Iterator, Sequence
 
 from .closure_ops import SourceConditionalOperator, realize
-from .freq_seq import CumulativeSequence, canonical_pairs, canonical_prefix, checked_chunks
+from .freq_seq import CumulativeSequence, canonical_prefix, canonical_terms, checked_chunks
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
@@ -133,13 +133,14 @@ def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
     Both parts list the labeled outcomes in trial order: the trace
     ``E'_1 E_2 ...`` and the operator ``C({E'_1,E_2,...},{G})``, whose
     attachments sort by label because each label carries one outcome.  So
-    each part is rendered from its own pass of ``canonical_pairs(p, n)`` in
-    ``checked_chunks``, and the text equals ``realize_trace(p, n).text()``
-    and ``canonical_form(trace_operator(p, n))`` on two lines, or
-    ``json.dumps`` of ``{"trials": rows, "operator": form}`` on one.  The
-    arguments are checked here, before the first chunk.
+    each part is rendered from its own pass of ``canonical_terms(p, n)`` in
+    ``checked_chunks``, trial numbers taken from position, and the text
+    equals ``realize_trace(p, n).text()`` and
+    ``canonical_form(trace_operator(p, n))`` on two lines, or ``json.dumps``
+    of ``{"trials": rows, "operator": form}`` on one.  The arguments are
+    checked here, before the first chunk.
     """
-    canonical_pairs(p, n)  # raises on bad arguments
+    canonical_terms(p, n)  # raises on bad arguments
     return _trace_chunks(p, n, fmt)
 
 
@@ -150,13 +151,13 @@ def _trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
         parts = (('{"trials": [', _JSON_TRIALS, ", "), ('], "operator": "C({', _TOKENS, ","))
     for head, templates, sep in parts:
         yield head
-        lead, prev = "", 0
-        for chunk in checked_chunks(canonical_pairs(p, n)):
-            trials, terms = zip(*chunk)
-            bits = map(sub, terms, itertools.chain((prev,), terms))
+        lead, prev, done = "", 0, 0
+        for chunk in checked_chunks(canonical_terms(p, n)):
+            bits = map(sub, chunk, itertools.chain((prev,), chunk))
+            trials = range(done + 1, done + len(chunk) + 1)
             text = lead + sep.join(map(str.__mod__, map(templates.__getitem__, bits), trials))
-            lead, prev = sep, terms[-1]
-            del chunk, trials, terms, bits  # build the next chunk without this one
+            lead, prev, done = sep, chunk[-1], done + len(chunk)
+            del chunk, bits  # build the next chunk without this one
             yield text
             del text
     yield "},{G})\n" if fmt == "csv" else '},{G})"}\n'

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import floordiv, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -94,17 +94,15 @@ def frequency_points(seq: CumulativeSequence) -> list[FrequencyPoint]:
     return [FrequencyPoint(k, a) for k, a in enumerate(seq.terms, 1)]
 
 
-def canonical_pairs(
-    p: Fraction | int, n: int, m: int | None = None
-) -> Iterator[tuple[int, int]]:
-    """(k, a(k)) for k = 1..n of the canonical sequence tracking p.
+def canonical_terms(p: Fraction | int, n: int, m: int | None = None) -> Iterator[int]:
+    """a(1), ..., a(n) of the canonical sequence tracking p.
 
     For p < 1 term k is the unique j with j/k <= p < (j+1)/k, which is
     floor(k*p); this covers p = 0.  For p = 1 no such half-open bracket
     exists and the all-success sequence a(k) = k = floor(k*p) is used.
     With a freeze index m the terms after trial m hold a(m), as
     ``truncate_freeze`` does.  The arguments are checked here, before the
-    first pair is produced.
+    first term is produced.
     """
     p = check_probability(p)
     if n < 0:
@@ -113,19 +111,13 @@ def canonical_pairs(
         raise ValueError("freeze index out of range")
     num, den = p.numerator, p.denominator
     trials = range(1, (n if m is None else m) + 1)
-    pairs = zip(trials, map(floordiv, map(mul, trials, repeat(num)), repeat(den)))
-    if m is None:
-        return pairs
-    return chain(pairs, zip(range(m + 1, n + 1), repeat(m * num // den)))
-
-
-def _terms(pairs: Iterator[tuple[int, int]]) -> CumulativeSequence:
-    return CumulativeSequence(tuple(map(itemgetter(1), pairs)))
+    terms = map(floordiv, map(mul, trials, repeat(num)), repeat(den))
+    return terms if m is None else chain(terms, repeat(m * num // den, n - m))
 
 
 def canonical_prefix(p: Fraction | int, n: int) -> CumulativeSequence:
     """First n terms of the canonical sequence tracking probability p."""
-    return _terms(canonical_pairs(p, n))
+    return CumulativeSequence(tuple(canonical_terms(p, n)))
 
 
 class DeviationCheck(NamedTuple):
@@ -206,17 +198,15 @@ def truncate_freeze(seq: CumulativeSequence, m: int, n: int) -> CumulativeSequen
     return CumulativeSequence(terms)
 
 
-def nonconvergent_pairs(
-    low: Fraction, high: Fraction, n: int
-) -> Iterator[tuple[int, int]]:
-    """(k, a(k)) for k = 1..n of a sequence whose frequency never settles.
+def nonconvergent_terms(low: Fraction, high: Fraction, n: int) -> Iterator[int]:
+    """a(1), ..., a(n) of a sequence whose frequency never settles.
 
     Two phases alternate: an up phase adds a success each trial until the
     running frequency reaches ``high`` (equality counts as arrival), then a
     down phase holds the count until the frequency falls to ``low``.  The
     sequence starts at a(1) = 0, where the down phase has already arrived,
     so counting begins immediately.  The arguments are checked here, before
-    the first pair is produced.
+    the first term is produced.
     """
     low = check_probability(low)
     high = check_probability(high)
@@ -224,28 +214,37 @@ def nonconvergent_pairs(
         raise ValueError("low bound must be strictly below high bound")
     if n < 1:
         raise ValueError("prefix length must be positive")
-    return _oscillate(low.numerator, low.denominator, high.numerator, high.denominator, n)
+    phases = _phases(low.numerator, low.denominator, high.numerator, high.denominator)
+    return islice(chain.from_iterable(phases), n)
 
 
-def _oscillate(
-    low_num: int, low_den: int, high_num: int, high_den: int, n: int
-) -> Iterator[tuple[int, int]]:
-    yield 1, 0
-    a = 0
-    up = True  # 0/1 <= low holds for any low >= 0
-    for k in range(2, n + 1):
-        if up:
-            a += 1
-            if a * high_den >= k * high_num:
-                up = False
-        elif a * low_den <= k * low_num:
-            up = True
-        yield k, a
+def _phases(low_num: int, low_den: int, high_num: int, high_den: int) -> Iterator[Iterable[int]]:
+    """The terms of ``nonconvergent_terms`` a whole phase at a time.
+
+    From a(k) = a, an up phase gives a + j - k at trial j and arrives at the
+    first j > k with (a + j - k) * high_den >= j * high_num; a down phase
+    gives a and arrives at the first j > k with a * low_den <= j * low_num.
+    """
+    k, a = 1, 0
+    yield (0,)
+    while True:
+        if high_num == high_den:  # high = 1 needs a >= k, and a < k
+            yield count(a + 1)
+            return
+        j = max(k + 1, -(-(k - a) * high_den // (high_den - high_num)))
+        yield range(a + 1, a + 1 + j - k)
+        k, a = j, a + j - k
+        if low_num == 0:  # low = 0 needs a <= 0, and a >= 1 after an up phase
+            yield repeat(a)
+            return
+        j = max(k + 1, -(-a * low_den // low_num))
+        yield repeat(a, j - k)
+        k = j
 
 
 def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequence:
-    """The first n terms of ``nonconvergent_pairs(low, high, n)``."""
-    return _terms(nonconvergent_pairs(low, high, n))
+    """The first n terms of ``nonconvergent_terms(low, high, n)``."""
+    return CumulativeSequence(tuple(nonconvergent_terms(low, high, n)))
 
 
 def count_phase_switches(seq: CumulativeSequence) -> int:
@@ -266,48 +265,68 @@ _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 ROWS_PER_CHUNK = 16384
 
 
-def csv_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
-    """CSV lines ``n,a_n,freq_num,freq_den``; for ints the bytes ``csv.writer`` writes."""
-    return [f"{k},{a},{a},{k}\n" for k, a in pairs]
-
-
-def json_rows(pairs: Iterable[tuple[int, int]]) -> list[str]:
-    """JSON lines; for ints the bytes ``json.dumps`` writes for ``sequence_json_rows``."""
-    return [f'{{"n": {k}, "a": {a}, "freq": [{a}, {k}]}}\n' for k, a in pairs]
-
-
-def checked_chunks(rows: Iterable[tuple], first: int = 1) -> Iterator[list[tuple]]:
+def checked_chunks(rows: Iterable, first: int | None = None) -> Iterator[list]:
     """Rows in lists of ``ROWS_PER_CHUNK``, each checked before it is yielded.
 
-    Every field from index ``first`` on is a count column: it must start at
-    0 or 1 and step by 0 or 1, and a violation raises the error
-    ``CumulativeSequence`` raises for that column, so a stream is checked
-    exactly as the materialized columns are.
+    With ``first`` None the rows are the terms of one count column;
+    otherwise every field of a row from index ``first`` on is a count
+    column.  A count column must start at 0 or 1 and step by 0 or 1, and a
+    violation raises the error ``CumulativeSequence`` raises for that
+    column, so a stream is checked exactly as the materialized columns are.
     """
     rows = iter(rows)
     done, prev = 0, repeat(0)
     while chunk := list(islice(rows, ROWS_PER_CHUNK)):
-        for k, before in zip(range(first, len(chunk[0])), prev):
-            bad = _first_bad_step(list(map(itemgetter(k), chunk)), before)
+        if first is None:
+            columns, ends = [chunk], chunk[-1:]
+        else:
+            columns = (list(map(itemgetter(k), chunk)) for k in range(first, len(chunk[0])))
+            ends = chunk[-1][first:]
+        for bad in map(_first_bad_step, columns, prev):
             if bad is not None:
                 raise _form_error(done + bad + 1)
-        done += len(chunk)
-        prev = chunk[-1][first:]
+        done, prev = done + len(chunk), ends
         yield chunk
-        del chunk  # read the next chunk without holding this one
+        del chunk, columns  # read the next chunk without holding this one
 
 
-def sequence_chunks(pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
-    """Render pairs as CSV (header first) or JSON lines, one string per ``checked_chunks`` chunk."""
-    render = csv_rows if fmt == "csv" else json_rows
+_ROWS = {"csv": "k,%s,%s,k\n", "json": '{"n": k, "a": %s, "freq": [%s, k]}\n'}
+
+
+def _numbered(lo: int, hi: int, pattern: str) -> str:
+    """Rows lo..hi-1 of ``pattern``, with the row index in place of each letter k.
+
+    Rows 100q to 100q+99 share the digits of q, so a full block of them is
+    one ``str.join`` with q's text as the separator rather than 100 rows of
+    int-to-text conversions; rows below 100 and partial blocks go one by one.
+    """
+    first = max(-(-lo // 100), 1)  # full blocks are q = first .. last-1
+    last = max(hi // 100, first)
+    pieces = "".join(pattern.replace("k", f"k{d:02}") for d in range(100)).split("k")
+    head = "".join(pattern.replace("k", str(k)) for k in range(lo, min(hi, 100 * first)))
+    tail = "".join(pattern.replace("k", str(k)) for k in range(max(lo, 100 * last), hi))
+    return head + "".join([str(q).join(pieces) for q in range(first, last)]) + tail
+
+
+def _rendered(terms: Sequence[int], lo: int, fmt: str) -> str:
+    """CSV or JSON rows ``lo``, ``lo + 1``, ... for the given terms."""
+    return _numbered(lo, lo + len(terms), _ROWS[fmt]) % tuple(chain.from_iterable(zip(terms, terms)))
+
+
+def sequence_chunks(terms: Iterable[int], fmt: str) -> Iterator[str]:
+    """Render a(1), a(2), ... as CSV (header first) or JSON lines, one string per checked chunk.
+
+    For ints, rows are the bytes of ``csv.writer`` on ``(k, a, a, k)`` or ``json.dumps``.
+    """
     if fmt == "csv":
         yield _CSV_HEADER_LINE
-    yield from map("".join, map(render, checked_chunks(pairs)))
+    # chunk i starts at row 1 + i * ROWS_PER_CHUNK: only the last chunk is short
+    yield from map(_rendered, checked_chunks(terms), count(1, ROWS_PER_CHUNK), repeat(fmt))
 
 
 def sequence_csv(seq: CumulativeSequence) -> str:
     """CSV with columns n, a_n, freq_num, freq_den (frequency unreduced)."""
-    return _CSV_HEADER_LINE + "".join(csv_rows(enumerate(seq.terms, 1)))
+    return _CSV_HEADER_LINE + _rendered(seq.terms, 1, "csv")
 
 
 def sequence_from_csv(text: str) -> CumulativeSequence:
@@ -330,25 +349,10 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
             and digits.isdigit()
             and all(column)
             and fields[2::3] == column
-            and _index_columns(len(column)).startswith(",".join(fields[0::3]))
+            and _numbered(1, len(column) + 1, "k,k\n") == ",".join(fields[0::3])
         ):
             return CumulativeSequence(tuple(map(int, column)))
     return _sequence_from_csv_slow(text)
-
-
-# q.join(_HUNDRED) is rows 100q to 100q+99: "q00,q00\nq01,q01\n...q99,q99\n".
-_HUNDRED = ["", *(f"{d:02}{end}" for d in range(100) for end in ",\n")]
-
-
-def _index_columns(n: int) -> str:
-    """``1,1\\n2,2\\n...`` through at least row n: the n and freq_den columns of CSV.
-
-    Rows 100q to 100q+99 share the digits of q, so a block of 100 rows is one
-    ``str.join`` with q's text as the separator rather than 200 int-to-text
-    conversions.
-    """
-    head = "".join(f"{k},{k}\n" for k in range(1, 100))
-    return head + "".join([str(q).join(_HUNDRED) for q in range(1, n // 100 + 1)])
 
 
 def _sequence_from_csv_slow(text: str) -> CumulativeSequence:

@@ -7,6 +7,7 @@ import pytest
 
 from freqmimic import closure_ops
 from freqmimic.cli import main
+from freqmimic.language_core import prefix_language
 
 GEN_SEQ_HALF_8 = """\
 n,a_n,freq_num,freq_den
@@ -213,8 +214,28 @@ def test_check_axioms_counterexample_exits_one(capsys, monkeypatch):
     )
     monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter([(frozenset(), broken)]))
     assert main(["check-axioms", "--family", "--language-size", "2"]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert "monotone: FAIL" in lines
+    assert captured.err == (
+        "monotone: counterexample {}, {} for C({},{G}) on language size 1\n"
+        "operators per language size: 1: 1\n"
+    )
+
+
+def test_check_axioms_witnesses_name_each_failing_axiom(capsys, monkeypatch):
+    family = list(closure_ops.family_reports(3))
+    attachments, _ = family[5]  # the last of size 2's four operators
+    broken = closure_ops.AxiomReport(False, False, False, (frozenset(attachments),))
+    family[5] = (attachments, broken)
+    monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter(family))
+    assert main(["check-axioms", "--family", "--language-size", "3"]) == 1
+    captured = capsys.readouterr()
+    witness = "counterexample {G,E_1} for C({G,E_1},{G}) on language size 2"
+    assert attachments == prefix_language(2).statements
+    assert captured.err.splitlines() == [
+        f"{name}: {witness}" for name in ("extensive-idempotent", "monotone", "finitary")
+    ] + ["operators per language size: 1: 2, 2: 4, 3: 8"]
 
 
 def test_self_maps_counterexample_exits_one(capsys, monkeypatch):

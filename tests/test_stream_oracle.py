@@ -3,10 +3,11 @@
 The oracles below are the original writers, reader, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
 materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
-parser, the column-building greedy cell loop, the list-building SplitMix64
-loop, and the index-scanning runs counter.  The streamed CLI output, the
-pair and row generators, the fast reader and the one-pass counts must match
-them byte for byte, value for value, and error for error.
+parser, the per-trial oscillating loop, the column-building greedy cell
+loop, the list-building SplitMix64 loop, and the index-scanning runs
+counter.  The streamed CLI output, the term and row generators, the fast
+reader and the one-pass counts must match them byte for byte, value for
+value, and error for error.
 """
 
 import collections
@@ -23,12 +24,11 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqmimic import cell_dist, event_seq, freq_seq, stats_harness
@@ -39,10 +39,9 @@ from freqmimic.event_seq import BinaryTrialSequence, differences, realize_trace,
 from freqmimic.freq_seq import (
     CSV_HEADER,
     CumulativeSequence,
-    canonical_pairs,
+    canonical_terms,
     check_probability,
-    json_rows,
-    nonconvergent_pairs,
+    nonconvergent_terms,
     sequence_chunks,
     sequence_csv,
     sequence_from_csv,
@@ -117,6 +116,22 @@ def oracle_build_nonconvergent(low, high, n):
         elif a * low_den <= k * low_num:
             up = True
     return CumulativeSequence(terms)
+
+
+def _oscillate(
+    low_num: int, low_den: int, high_num: int, high_den: int, n: int
+) -> Iterator[tuple[int, int]]:
+    yield 1, 0
+    a = 0
+    up = True  # 0/1 <= low holds for any low >= 0
+    for k in range(2, n + 1):
+        if up:
+            a += 1
+            if a * high_den >= k * high_num:
+                up = False
+        elif a * low_den <= k * low_num:
+            up = True
+        yield k, a
 
 
 def oracle_sequence_csv(seq):
@@ -338,11 +353,10 @@ any_chunk = st.integers(min_value=1, max_value=64)
 @given(seq=cumulative, chunk=small_chunks)
 def test_writers_match_csv_and_json_oracles(seq, chunk):
     assert sequence_csv(seq) == oracle_sequence_csv(seq)
-    pairs = list(enumerate(seq.terms, 1))
-    assert "".join(json_rows(pairs)) == oracle_sequence_json(seq)
+    assert "".join(sequence_chunks(seq.terms, "json")) == oracle_sequence_json(seq)
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        assert "".join(sequence_chunks(pairs, "csv")) == oracle_sequence_csv(seq)
-        assert "".join(sequence_chunks(pairs, "json")) == oracle_sequence_json(seq)
+        assert "".join(sequence_chunks(seq.terms, "csv")) == oracle_sequence_csv(seq)
+        assert "".join(sequence_chunks(seq.terms, "json")) == oracle_sequence_json(seq)
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,7 +374,7 @@ def test_gen_seq_stream_matches_materialized_oracle(p, n, m, fmt, chunk):
     expected = outcome(lambda: oracle_gen_seq(p, n, m))
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         got = outcome(lambda: run_main(argv))
-        library = outcome(lambda: tuple(canonical_pairs(p, n, m)))
+        library = outcome(lambda: tuple(enumerate(canonical_terms(p, n, m), 1)))
     if expected[0] == "ok":
         seq = expected[1]
         assert got == ("ok", (0, RENDER[fmt](seq)))
@@ -380,7 +394,7 @@ def test_gen_seq_stream_matches_materialized_oracle(p, n, m, fmt, chunk):
 )
 def test_gen_nonconv_stream_matches_materialized_oracle(low, high, n, fmt):
     expected = outcome(lambda: oracle_build_nonconvergent(low, high, n))
-    got = outcome(lambda: tuple(nonconvergent_pairs(low, high, n)))
+    got = outcome(lambda: tuple(enumerate(nonconvergent_terms(low, high, n), 1)))
     cli = run_main(["gen-nonconv", "--low", str(low), "--high", str(high),
                     "--n", str(n), "--format", fmt])
     if expected[0] == "ok":
@@ -390,6 +404,43 @@ def test_gen_nonconv_stream_matches_materialized_oracle(low, high, n, fmt):
     else:
         assert got == expected
         assert cli == (2, "")
+
+
+# Bounds whose frequencies hit low or high exactly, so phases arrive on equality.
+bound_pairs = st.one_of(
+    st.sampled_from([(F(0), F(1)), (F(0), F(1, 2)), (F(1, 2), F(1)), (F(1, 3), F(1, 2)),
+                     (F(2, 7), F(4, 7)), (F(0), F(1, 60)), (F(59, 60), F(1))]),
+    st.tuples(
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+    ).filter(lambda pair: pair[0] < pair[1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds=bound_pairs,
+    n=st.one_of(st.integers(min_value=1, max_value=200),
+                st.integers(min_value=1, max_value=3 * freq_seq.ROWS_PER_CHUNK + 5)),
+)
+@example(bounds=(F(1, 3), F(1, 2)), n=8)  # 0,1,1,2,2,2,3,4: every arrival is an equality
+def test_nonconvergent_phases_match_the_per_trial_loop(bounds, n):
+    low, high = bounds
+    expected = _oscillate(low.numerator, low.denominator, high.numerator, high.denominator, n)
+    assert tuple(enumerate(nonconvergent_terms(low, high, n), 1)) == tuple(expected)
+
+
+_NUMBERED_EDGES = sorted({x + d for x in (0, 99, 100, 101, 199, 200, 10_000) for d in range(-2, 3)})
+
+
+@pytest.mark.parametrize("pattern", [*freq_seq._ROWS.values(), "k,k\n"])
+def test_numbered_matches_naive_rows(pattern):
+    first = _NUMBERED_EDGES[0]
+    naive = [pattern.replace("k", str(k)) for k in range(first, _NUMBERED_EDGES[-1])]
+    for lo in _NUMBERED_EDGES:
+        for hi in _NUMBERED_EDGES:
+            expected = "".join(naive[lo - first:hi - first]) if lo < hi else ""
+            assert freq_seq._numbered(lo, hi, pattern) == expected, (lo, hi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,7 +454,7 @@ def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
     assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
     expected = outcome(lambda: RENDER[fmt](CumulativeSequence(terms)))
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        got = outcome(lambda: "".join(sequence_chunks(enumerate(terms, 1), fmt)))
+        got = outcome(lambda: "".join(sequence_chunks(terms, fmt)))
     assert got == expected
 
 
@@ -501,7 +552,7 @@ def test_reader_fast_path_skips_the_csv_reader():
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
 def test_index_columns_start_with_the_naive_rows(n):
     naive = "".join(f"{k},{k}\n" for k in range(1, n + 1))
-    assert freq_seq._index_columns(n).startswith(naive)
+    assert freq_seq._numbered(1, n + 1, "k,k\n").startswith(naive)
 
 
 # ------------------------------------------------------------------ counts
@@ -533,7 +584,7 @@ def test_canonical_counts_match_closed_form(p, n):
         runs = 2 * ones + 1 - last
     else:
         runs = 2 * (n - ones) - (1 - last)
-    terms = map(itemgetter(1), canonical_pairs(p, n))
+    terms = canonical_terms(p, n)
     assert count_bits(differences(terms)) == (n, ones, runs)
 
 
@@ -875,9 +926,8 @@ def test_realize_stream_check_raises_the_materialized_error(n, fault, at, fmt, c
         terms[k] += shift
     expected = outcome(lambda: CumulativeSequence(terms))
     assert expected[0] is ValueError
-    pairs = list(enumerate(terms, 1))
     argv = ["realize", "--p", "1/3", "--n", str(n), "--format", fmt]
-    with mock.patch.object(event_seq, "canonical_pairs", lambda p, n: iter(pairs)), \
+    with mock.patch.object(event_seq, "canonical_terms", lambda p, n: iter(terms)), \
             mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         code, _, err = run_main_err(argv)
     assert (code, err) == (2, f"error: {expected[1]}\n")
@@ -984,10 +1034,11 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
     assert large - small < 100_000, (small, large)
 
 
-def probed_rows(rows, chunk, held):
+def probed_rows(rows, chunk, held, tail=0):
     """Yield ``rows``; as the first row of each chunk after the first is
     pulled, append to ``held`` the references the consumer still holds to
-    the rows of the chunk before (CPython reference counts)."""
+    the rows of the chunk before, except its last ``tail`` rows (CPython
+    reference counts)."""
     rows = list(rows)
 
     def refs(j):
@@ -998,27 +1049,34 @@ def probed_rows(rows, chunk, held):
     def pull():
         for i in range(len(rows)):
             if i and i % chunk == 0:
-                held.append(sum(refs(j) - before[j] for j in range(i - chunk, i)))
+                held.append(sum(refs(j) - before[j] for j in range(i - chunk, i - tail)))
             yield rows[i]
 
     return pull()
 
 
+class _Term(int):
+    pass
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("verb", ["sequence_chunks", "cell_chunks", "trace_chunks"])
 def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
+    # Terms are distinct int objects, so each has its own reference count.  A
+    # term stream keeps the last term before the chunk it reads: its unit-step
+    # check starts there.
     chunk, n, held = 8, 60, []
-    pairs = list(canonical_pairs(F(2, 5), n))
+    terms = [_Term(a) for a in canonical_terms(F(2, 5), n)]
     streams = {
-        "sequence_chunks": lambda: sequence_chunks(probed_rows(pairs, chunk, held), fmt),
+        "sequence_chunks": lambda: sequence_chunks(probed_rows(terms, chunk, held, 1), fmt),
         "cell_chunks": lambda: cell_dist.cell_chunks(
             probed_rows(cell_dist.cell_rows([F(1, 6), F(1, 3), F(1, 2)], n), chunk, held), 3, fmt
         ),
         "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), n, fmt),  # two passes
     }
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
-            mock.patch.object(event_seq, "canonical_pairs",
-                              lambda p, n: probed_rows(pairs, chunk, held)):
+            mock.patch.object(event_seq, "canonical_terms",
+                              lambda p, n: probed_rows(terms, chunk, held, 1)):
         collections.deque(streams[verb](), maxlen=0)
     assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)
     assert set(held) == {0}, held
