@@ -4,8 +4,10 @@ Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
 are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
 alone (k is their position), gen-dist its greedy rows, each written a
-checked chunk at a time; compare counts both streams as they are drawn.  So
-memory does not grow with --n; flags are checked before the first row.
+checked chunk at a time.  compare takes the designed stream's counts from
+their closed form and counts the generated stream in packed chunks as it is
+drawn.  So memory does not grow with --n; flags are checked before the first
+row.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant
 check finds a counterexample (check-axioms names it on stderr).
 """
@@ -166,10 +168,7 @@ def _print_witnesses(failing: list, total: int) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     p = freq_seq.parse_probability(args.p)
-    stats_harness.check_seed(args.seed)
-    terms = freq_seq.canonical_terms(p, args.n)
-    stats_harness.check_frequency_args(args.n, p, args.alpha)
-    designed = stats_harness.count_bits(event_seq.differences(terms))
+    designed = stats_harness.canonical_counts(p, args.n)
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":
         sys.stdout.write(stats_harness.reports_csv(reports))

@@ -13,20 +13,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import countOf, sub
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .closure_ops import SourceConditionalOperator, realize
 from .freq_seq import CumulativeSequence, canonical_prefix, canonical_terms, checked_chunks
+from .freq_seq import scan_bits
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
-def count_ones(bits: Sequence[int], done: int = 0) -> int:
-    """The 1s in ``bits``; the first entry not 0 or 1 raises, as trial ``done`` + its position."""
-    ones = countOf(bits, 1)
-    if ones + countOf(bits, 0) != len(bits):
-        bad = next(i for i, bit in enumerate(bits, done + 1) if bit not in (0, 1))
-        raise ValueError(f"trial {bad} outcome must be 0 or 1")
+def count_ones(bits: Sequence[int]) -> int:
+    """The 1s in ``bits``; the first entry not 0 or 1 raises, naming its trial."""
+    ones, bad = scan_bits(bits)
+    if bad is not None:
+        raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
     return ones
 
 
@@ -73,18 +73,12 @@ class LabeledEventSequence:
         return " ".join(str(entry) for entry in self.entries)
 
 
-def differences(terms: Iterable[int]) -> Iterator[int]:
-    """Lazy difference sequence a(j) - a(j-1) with a(0) = 0, in one pass."""
-    current, previous = itertools.tee(terms)
-    return map(sub, current, itertools.chain((0,), previous))
-
-
 def to_binary(seq: CumulativeSequence) -> BinaryTrialSequence:
     """Difference sequence: bit j = a(j) - a(j-1) with a(0) = 0.
 
     Prefixes are stable: the first m bits depend only on the first m terms.
     """
-    return BinaryTrialSequence(tuple(differences(seq.terms)))
+    return BinaryTrialSequence(tuple(map(sub, seq.terms, itertools.chain((0,), seq.terms))))
 
 
 def from_binary(bits: Iterable[int]) -> CumulativeSequence:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from operator import floordiv, itemgetter, mul, sub
+from operator import countOf, floordiv, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -39,15 +39,21 @@ class FormCheck(NamedTuple):
     violation_index: int | None  # 1-based index of the first bad term
 
 
+def scan_bits(values: Sequence) -> tuple[int, int | None]:
+    """The entries ``countOf`` counts as 1, and the 0-based index of the first
+    it counts as neither 0 nor 1 (None if there is none)."""
+    ones = countOf(values, 1)
+    if ones + countOf(values, 0) == len(values):
+        return ones, None
+    return ones, next(i for i, value in enumerate(values) if value not in (0, 1))
+
+
 def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
     """0-based index of the first term not 0 or 1 above its predecessor.
 
     ``prev`` is the term before ``terms[0]``; a(0) = 0 for a whole sequence.
     """
-    steps = list(map(sub, terms, chain((prev,), terms)))
-    if not steps or (min(steps) >= 0 and max(steps) <= 1):
-        return None
-    return next(i for i, step in enumerate(steps) if not 0 <= step <= 1)
+    return scan_bits(list(map(sub, terms, chain((prev,), terms))))[1]
 
 
 def _form_error(index: int) -> ValueError:

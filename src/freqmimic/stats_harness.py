@@ -21,12 +21,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import countOf, ne
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .event_seq import BinaryTrialSequence, count_ones
-from .freq_seq import check_probability
+from .event_seq import BinaryTrialSequence
+from .freq_seq import canonical_terms, check_probability
 
 PRNG_VERSION = "splitmix64-v1"
 
@@ -63,15 +63,6 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
-
-
-def check_frequency_args(n: int, p: Fraction, alpha: float) -> float:
-    """Critical value, or ``frequency_test``'s error, for these arguments."""
-    if n < 30:
-        raise ValueError("frequency test needs at least 30 trials")
-    if p == 0 or p == 1:
-        raise ValueError("frequency test needs 0 < p < 1")
-    return _normal_critical(alpha)
 
 
 def prng_bits(p: Fraction | int, n: int, seed: int) -> Iterator[int]:
@@ -145,31 +136,32 @@ class BitCounts(NamedTuple):
     runs: int  # maximal blocks of equal outcomes; 0 for an empty stream
 
 
-_BITS_PER_CHUNK = 65536
+def canonical_counts(p: Fraction | int, n: int) -> BitCounts:
+    """The counts of bits floor(k*p) - floor((k-1)*p), k = 1..n, in closed form.
 
-
-def count_bits(bits: Iterable[int]) -> BitCounts:
-    """Trials, ones and runs of a 0/1 stream in one pass and bounded memory.
-
-    Raises the error ``BinaryTrialSequence`` raises for an outcome other
-    than 0 or 1.
+    The bits form a mechanical word (Lothaire, *Algebraic Combinatorics on
+    Words*, ch. 2): for p <= 1/2 no two 1s touch, for p > 1/2 no two 0s do,
+    and trial 1 is 0 unless p = 1.  The arguments are checked as
+    ``canonical_terms`` checks them.
     """
-    bits = iter(bits)
-    n = ones = changes = 0
-    prev = None
-    while chunk := list(islice(bits, _BITS_PER_CHUNK)):
-        chunk_ones = count_ones(chunk, n)
-        if prev is None:
-            prev = chunk[0]
-        changes += countOf(map(ne, chunk, chain((prev,), chunk)), True)
-        n += len(chunk)
-        ones += chunk_ones
-        prev = chunk[-1]
-    return BitCounts(n, ones, changes + 1 if n else 0)
+    p = check_probability(p)
+    canonical_terms(p, n)  # raises on bad arguments
+    if not n:
+        return BitCounts(0, 0, 0)
+    num, den = p.numerator, p.denominator
+    ones = n * num // den
+    last = ones - (n - 1) * num // den  # bit n
+    if num in (0, den):
+        runs = 1
+    elif 2 * num <= den:
+        runs = 2 * ones + 1 - last
+    else:
+        runs = 2 * (n - ones) - (1 - last)
+    return BitCounts(n, ones, runs)
 
 
 def prng_counts(p: Fraction | int, n: int, seed: int) -> BitCounts:
-    """``count_bits(prng_bits(p, n, seed))``, a chunk of trials at a time."""
+    """The counts of ``prng_bits(p, n, seed)``, a chunk of trials at a time."""
     chunks = _splitmix64_chunks(check_probability(p), _check_trials(n), check_seed(seed))
     ones = runs = 0
     last = None
@@ -185,7 +177,11 @@ def prng_counts(p: Fraction | int, n: int, seed: int) -> BitCounts:
 
 
 def _counts(bits: BinaryTrialSequence | BitCounts) -> BitCounts:
-    return bits if isinstance(bits, BitCounts) else count_bits(bits.bits)
+    if isinstance(bits, BitCounts):
+        return bits
+    bits = bits.bits  # checked 0/1 when the sequence was built
+    runs = countOf(map(ne, bits, bits[1:]), True) + 1 if bits else 0
+    return BitCounts(len(bits), countOf(bits, 1), runs)
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,11 @@ def frequency_test(
     """One-proportion z-test: z = (x - n*p) / sqrt(n*p*(1-p))."""
     p = check_probability(p)
     n, x, _ = _counts(bits)
-    crit = check_frequency_args(n, p, alpha)
+    if n < 30:
+        raise ValueError("frequency test needs at least 30 trials")
+    if p == 0 or p == 1:
+        raise ValueError("frequency test needs 0 < p < 1")
+    crit = _normal_critical(alpha)
     z = float(x - n * p) / math.sqrt(float(n * p * (1 - p)))
     return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
 
@@ -301,29 +301,17 @@ def compare(
 
     Returns four reports in fixed order: frequency then runs for the
     designed stream, then the same pair for the generator stream, which
-    carries the seed and generator version.  The arguments are checked
-    before either stream is counted; the generator stream is counted as
-    it is drawn, never held.
+    carries the seed and generator version.  The arguments are checked and
+    the designed stream is tested before the generator stream is drawn;
+    that stream is counted as it is drawn, never held.
     """
     p = check_probability(p)
-    n = designed.n if isinstance(designed, BitCounts) else len(designed)
     check_seed(seed)
-    check_frequency_args(n, p, alpha)
     designed = _counts(designed)
-    generated = prng_counts(p, n, seed)
-    tagged = [
-        frequency_test(generated, p, alpha, stream="prng"),
-        runs_test(generated, alpha, stream="prng"),
-    ]
-    tagged = [
-        dataclasses.replace(r, seed=seed, prng_version=PRNG_VERSION) for r in tagged
-    ]
-    return [
-        frequency_test(designed, p, alpha, stream="designed"),
-        runs_test(designed, alpha, stream="designed"),
-        tagged[0],
-        tagged[1],
-    ]
+    reports = [frequency_test(designed, p, alpha), runs_test(designed, alpha)]
+    generated = prng_counts(p, designed.n, seed)
+    tagged = frequency_test(generated, p, alpha, "prng"), runs_test(generated, alpha, "prng")
+    return reports + [dataclasses.replace(r, seed=seed, prng_version=PRNG_VERSION) for r in tagged]
 
 
 REPORT_CSV_HEADER = (

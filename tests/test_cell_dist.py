@@ -197,6 +197,12 @@ def test_validate_cell_table_flags_violations():
     report = validate_cell_table(bad_conservation, FIXTURE_PROBS)
     assert not report.conservation
 
+    # half steps conserve the trial count, but no trial has an outcome
+    fractional, halves = [[0.5, 1], [0.5, 1]], (F(1, 2), F(1, 2))
+    report = validate_cell_table(fractional, halves)
+    assert report == CellTableReport(False, False, True)
+    assert report == oracle_validate_cell_table(fractional, halves)
+
     with pytest.raises(ValueError):
         validate_cell_table([[0, 1], [0, 0, 1]], (F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):

@@ -90,6 +90,7 @@ def test_gen_seq_rejects_bad_lengths(capsys, argv, message):
         ("compare", "--p", "0", "--n", "1000000000"),
         ("compare", "--p", "1", "--n", "1000000000"),
         ("compare", "--p", "1/2", "--n", "29"),
+        ("compare", "--p", "1/10000000000", "--n", "1000000000"),
     ],
 )
 def test_bad_flags_are_rejected_before_generation(capsys, verb):

@@ -55,12 +55,15 @@ def test_check_cumulative_form():
     assert check_cumulative_form([2, 3]) == (False, 1)
     assert check_cumulative_form([0, 2]) == (False, 2)
     assert check_cumulative_form([1, 1, 0]) == (False, 3)
+    assert check_cumulative_form([0.5, 1]) == (False, 1)
 
 
 def test_cumulative_sequence_validates():
     with pytest.raises(ValueError, match="index 2"):
         CumulativeSequence((0, 2))
     assert len(CumulativeSequence((0, 1))) == 2
+    with pytest.raises(ValueError, match="index 1"):
+        CumulativeSequence((0.5, 1))  # a step inside [0, 1] but not 0 or 1
 
 
 def test_canonical_prefix_half():

@@ -35,7 +35,7 @@ from freqmimic import cell_dist, event_seq, freq_seq, stats_harness
 from freqmimic.cell_dist import CellAssignment
 from freqmimic.cli import main
 from freqmimic.closure_ops import canonical_form
-from freqmimic.event_seq import BinaryTrialSequence, differences, realize_trace, trace_operator
+from freqmimic.event_seq import BinaryTrialSequence, realize_trace, trace_operator
 from freqmimic.freq_seq import (
     CSV_HEADER,
     CumulativeSequence,
@@ -54,7 +54,6 @@ from freqmimic.stats_harness import (
     TestReport,
     _normal_critical,
     check_seed,
-    count_bits,
     reports_csv,
 )
 from test_event_seq import rows
@@ -73,12 +72,12 @@ _MIX2 = 0x94D049BB133111EB
 def oracle_check_cumulative_form(terms):
     terms = list(terms)
     if terms:
-        if not 0 <= terms[0] <= 1:
+        if terms[0] not in (0, 1):
             return (False, 1)
         prev = terms[0]
         for i in range(1, len(terms)):
             step = terms[i] - prev
-            if step < 0 or step > 1:
+            if step not in (0, 1):
                 return (False, i + 1)
             prev = terms[i]
     return (True, None)
@@ -492,9 +491,18 @@ def test_checked_chunks_raises_each_columns_sequence_error(data, width, chunk):
         assert drain_checked_chunks(rows, first) == oracle_checked_chunks(rows, first, chunk)
 
 
-def test_cumulative_form_check_keeps_comparison_semantics():
-    for terms in ([0, 0.5], [0.5, 1.5, 1.25], [0.0, 1.0, 3.0], [True, True, False]):
-        assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
+def test_cumulative_form_check_takes_steps_of_exactly_0_or_1():
+    # a step equal to 0 or 1 passes whatever its type; a fractional one fails
+    cases = {
+        (0, 0.5): (False, 2),
+        (0.5, 1.5, 1.25): (False, 1),
+        (0.0, 1.0, 3.0): (False, 3),
+        (True, True, False): (False, 3),
+        (1.0, True, 2, 2.0): (True, None),
+    }
+    for terms, expected in cases.items():
+        assert freq_seq.check_cumulative_form(terms) == expected
+        assert oracle_check_cumulative_form(terms) == expected
 
 
 # ------------------------------------------------------------------ reader
@@ -559,45 +567,67 @@ def test_index_columns_start_with_the_naive_rows(n):
 
 
 def oracle_counts(bits):
+    """Trials, ones and runs of a stream of 0/1 outcomes, one index at a time."""
     seq = tuple(bits)
+    for i, bit in enumerate(seq, 1):
+        if bit not in (0, 1):
+            raise ValueError(f"trial {i} outcome must be 0 or 1")
     runs = 1 + sum(1 for i in range(1, len(seq)) if seq[i] != seq[i - 1]) if seq else 0
     return (len(seq), sum(seq), runs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(bits=bit_lists, chunk=small_chunks)
-def test_counts_match_tuple_counts(bits, chunk):
-    with mock.patch.object(stats_harness, "_BITS_PER_CHUNK", chunk):
-        assert tuple(count_bits(iter(bits))) == oracle_counts(bits)
+@given(bits=bit_lists)
+def test_counts_match_tuple_counts(bits):
+    assert tuple(stats_harness._counts(BinaryTrialSequence(bits))) == oracle_counts(bits)
+
+
+def fractions_up_to(max_den):
+    """p = num/den in [0, 1] with den drawn from 1..max_den."""
+    return st.integers(min_value=1, max_value=max_den).flatmap(
+        lambda den: st.integers(min_value=0, max_value=den).map(lambda num: F(num, den))
+    )
+
+
+# den up to 64 meets every short period; den up to 2**40 puts the word's
+# first repeat far beyond n
+canonical_probabilities = st.one_of(fractions_up_to(64), fractions_up_to(1 << 40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=probabilities, n=st.integers(min_value=1, max_value=5000))
+@given(p=canonical_probabilities, n=st.integers(min_value=0, max_value=5000))
+@example(p=F(0), n=0)
+@example(p=F(0), n=1)
+@example(p=F(1, 2), n=0)
+@example(p=F(1, 2), n=1)
+@example(p=F(1), n=0)
+@example(p=F(1), n=1)
+@example(p=F(4093, 8191), n=10**6)
+@example(p=F(577215, 1000003), n=10**6)
 def test_canonical_counts_match_closed_form(p, n):
-    # the canonical bits form a mechanical word: for p <= 1/2 the ones are
-    # isolated, for p >= 1/2 the zeros are, and trial 1 is 0 unless p = 1
-    ones = math.floor(n * p)
-    last = ones - math.floor((n - 1) * p)
-    if p in (0, 1):
-        runs = 1
-    elif p <= F(1, 2):
-        runs = 2 * ones + 1 - last
-    else:
-        runs = 2 * (n - ones) - (1 - last)
-    terms = canonical_terms(p, n)
-    assert count_bits(differences(terms)) == (n, ones, runs)
+    bits = oracle_to_binary(oracle_canonical_prefix(p, n)).bits
+    assert stats_harness.canonical_counts(p, n) == oracle_counts(bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.one_of(probabilities, st.sampled_from([F(-1, 2), F(3, 2), -1, 2])),
+    n=st.integers(min_value=-3, max_value=3),
+)
+def test_canonical_counts_reject_what_the_terms_reject(p, n):
+    expected = outcome(lambda: oracle_counts(oracle_to_binary(oracle_canonical_prefix(p, n))))
+    assert outcome(lambda: tuple(stats_harness.canonical_counts(p, n))) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    bits=st.lists(st.integers(min_value=-1, max_value=2), max_size=40),
-    chunk=small_chunks,
+    bits=st.lists(
+        st.sampled_from([0, 1, 0, 1, 0, 1, -1, 2, 0.5, 1.0, 0.0, True, False]), max_size=40
+    )
 )
-def test_counts_reject_what_the_sequence_rejects(bits, chunk):
-    with mock.patch.object(stats_harness, "_BITS_PER_CHUNK", chunk):
-        got = outcome(lambda: tuple(count_bits(bits)))
-    expected = outcome(lambda: oracle_counts(BinaryTrialSequence(bits).bits))
-    assert got == expected
+def test_counts_reject_what_the_sequence_rejects(bits):
+    got = outcome(lambda: tuple(stats_harness._counts(BinaryTrialSequence(bits))))
+    assert got == outcome(lambda: oracle_counts(bits))
 
 
 @settings(max_examples=100, deadline=None)
@@ -609,7 +639,7 @@ def test_runs_test_matches_oracle(bits, alpha):
     seq = BinaryTrialSequence(bits)
     expected = outcome(lambda: oracle_runs_test(seq, alpha))
     assert outcome(lambda: stats_harness.runs_test(seq, alpha)) == expected
-    counts = count_bits(bits)
+    counts = BitCounts(*oracle_counts(bits))
     assert outcome(lambda: stats_harness.runs_test(counts, alpha)) == expected
 
 
@@ -692,7 +722,7 @@ def test_compare_matches_oracle(p, n, seed, alpha, fmt):
         assert run_main(argv) == (2, "")
         return
     reports = expected[1]
-    designed = BinaryTrialSequence(tuple(differences(oracle_canonical_prefix(p, n).terms)))
+    designed = event_seq.to_binary(oracle_canonical_prefix(p, n))
     assert designed == oracle_to_binary(oracle_canonical_prefix(p, n))
     assert stats_harness.compare(designed, p, seed, alpha) == reports
     if fmt == "csv":
@@ -959,6 +989,10 @@ GOLDEN = [
     (("compare", "--p", "3/7", "--n", "777", "--seed", "0", "--alpha", "0.05",
       "--format", "json"),
      "488a7a78ccebb6b974c797892875492db339b94ac363fa7eb5b5d59353235dcc"),
+    # p > 1/2: the designed runs count takes the closed form's other branch
+    (("compare", "--p", "5/7", "--n", "4000", "--seed", "9", "--alpha", "0.05",
+      "--format", "json"),
+     "427a99c55dd64aed133ec58a4466f3bf4824346b51cbae850788c310f51ca09f"),
     (("realize", "--p", "4093/8191", "--n", "300"),
      "2944cdd79c7e30aa728a4e1101e60cd1a13636f9a0d5a28c43befcb7acde7217"),
     (("realize", "--p", "3/7", "--n", "20", "--format", "json"),
@@ -1027,8 +1061,7 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
     Small chunks keep the traced run short; holding the 15,000 extra terms
     as a tuple of ints alone would add over 500 kB.
     """
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 256), \
-            mock.patch.object(stats_harness, "_BITS_PER_CHUNK", 256):
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 256):
         small = _peak_bytes([*argv, "--n", "5000"])
         large = _peak_bytes([*argv, "--n", "20000"])
     assert large - small < 100_000, (small, large)
