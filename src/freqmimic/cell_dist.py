@@ -1,7 +1,9 @@
 """Distributing trials over cells with prescribed per-cell frequencies.
 
-Given a rational probability vector, trials are assigned one cell each so
-that every cell's success count stays within one of its ideal share t*p_k.
+Given a rational probability vector, the greedy largest-deficit rule gives
+each trial one of m cells.  A count exceeds its ideal share t*p_k by at most
+1 - 1/m and falls short by at most (m - 1)(1 - 1/m); the discrepancy can
+exceed 1 (43/42 for shares (3,5,11,11,1,11)/42).
 Per-trial outcomes re-emerge as one-hot statement tuples, matching the
 coordinatewise product of per-cell source-conditional operators.
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from operator import add, itemgetter
+from itertools import chain, count, islice, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .closure_ops import SourceConditionalOperator, realize_product
@@ -173,11 +175,10 @@ def discrepancy(
     """Exact max over cells and trials of |a_k(t) - t*p_k|."""
     tables, den, nums = _columns(sequences, probs)
     worst = 0
-    for k, table in enumerate(tables):
-        for t, a in enumerate(table, 1):
-            gap = abs(a * den - t * nums[k])
-            if gap > worst:
-                worst = gap
+    for table, num in zip(tables, nums):
+        # |a_k(t)*den - t*nums[k]| for t = 1, 2, ...; count(0, 0) serves a zero share
+        gaps = map(abs, map(sub, map(mul, table, repeat(den)), count(num, num)))
+        worst = max(worst, max(gaps, default=0))
     return Fraction(worst, den)
 
 

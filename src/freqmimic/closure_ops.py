@@ -19,8 +19,11 @@ and ``check_axioms`` reports ``finitary`` equal to ``monotone``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import struct
 from dataclasses import dataclass
+from operator import or_
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .language_core import Language, Statement, StatementKind, prefix_language
@@ -204,25 +207,36 @@ def check_axioms(ext: ExtensionalOperator) -> AxiomReport:
     return _axiom_report(subsets, order, table)
 
 
+def _packed(lanes: struct.Struct, values: Iterable[int]) -> int:
+    """One int holding ``values[y]`` in bits ``16*y`` to ``16*y + 15``."""
+    return int.from_bytes(lanes.pack(*values), "little")
+
+
+@functools.cache
+def _lanes(s: int) -> tuple[struct.Struct, int, tuple[int, ...]]:
+    """``2**s`` 16-bit lanes, the packed identity, and per bit i ones in the lanes holding i."""
+    lanes, masks = struct.Struct(f"<{1 << s}H"), range(1 << s)
+    keep = ([0xFFFF * (y >> i & 1) for y in masks] for i in range(s))
+    return lanes, _packed(lanes, masks), tuple(_packed(lanes, k) for k in keep)
+
+
 def _axiom_report(subsets: list[frozenset], order: list[int], table: list[int]) -> AxiomReport:
-    broken = next((y for y in order if y & ~table[y] or table[table[y]] != table[y]), None)
-    # meet[y] is the intersection of the images of every superset of y;
-    # descending order finishes each y | b before y reads it
-    bits = [1 << i for i in range(len(table).bit_length() - 1)]
-    meet = table[:]
-    for y in range(len(table) - 1, -1, -1):
-        for b in bits:
-            if not y & b:
-                meet[y] &= meet[y | b]
-    bad = next((y for y in order if table[y] & ~meet[y]), None)
-    if broken is not None:
-        counterexample = (subsets[broken],)
-    elif bad is not None:
-        z = next(z for z in order if z & bad == bad and table[bad] & ~table[z])
-        counterexample = (subsets[bad], subsets[z])
-    else:
-        counterexample = None
-    return AxiomReport(broken is None, bad is None, bad is None, counterexample)
+    """Verdicts from the table packed one mask per 16-bit lane; witnesses scan ``order``."""
+    lanes, ident, keep = _lanes(len(table).bit_length() - 1)
+    packed = meet = _packed(lanes, table)
+    # per bit i, each lane y without i takes in lane y + 2**i: all supersets of y
+    for i, held in enumerate(keep):
+        meet &= (meet >> (16 << i)) | held
+    monotone = meet == packed  # meet lies inside table lane by lane
+    if ident & ~packed or list(map(table.__getitem__, table)) != table:
+        broken = next(y for y in order if y & ~table[y] or table[table[y]] != table[y])
+        return AxiomReport(False, monotone, monotone, (subsets[broken],))
+    if monotone:
+        return AxiomReport(True, True, True, None)
+    meets = lanes.unpack(meet.to_bytes(lanes.size, "little"))
+    bad = next(y for y in order if table[y] & ~meets[y])
+    z = next(z for z in order if z & bad == bad and table[bad] & ~table[z])
+    return AxiomReport(True, False, False, (subsets[bad], subsets[z]))
 
 
 def family_reports(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
@@ -242,9 +256,9 @@ def family_reports(size: int) -> Iterator[tuple[frozenset[Statement], AxiomRepor
 def _family_sweep(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
     for s in range(1, size + 1):
         subsets, order = _power_set(prefix_language(s).statements)
-        g = subsets.index(frozenset((source_statement(),)))  # the single bit of G
+        g = subsets.index(frozenset((source_statement(),)))  # G renders last: the top bit
         for a in order:
-            table = [m | a if m & g else m for m in range(len(subsets))]
+            table = [*range(g), *map(or_, range(g, 2 * g), itertools.repeat(a))]
             yield subsets[a], _axiom_report(subsets, order, table)
 
 

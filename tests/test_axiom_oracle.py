@@ -6,9 +6,12 @@ superset enumeration, finitary by submask unions), O(3^n) in the carrier
 size.  ``lub_extensional`` is checked against the original frozenset
 fixpoint, ``family_reports`` against tabulating each family operator and
 checking it, and ``monotonicity_implied`` against the original self-map
-enumeration.  Every report, counterexample included, must match.
+enumeration.  ``_axiom_report``, which packs each table one mask per 16-bit
+lane, is checked against the scalar meet loop it replaced.  Every report,
+counterexample included, must match.
 """
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqmimic import closure_ops
 from freqmimic.closure_ops import (
     MAX_CARRIER,
     AxiomReport,
@@ -362,3 +366,148 @@ def _closure_pairs(draw):
 def test_lub_matches_oracle(pair):
     e1, e2 = pair
     assert lub_extensional(e1, e2).table == oracle_lub_extensional(e1, e2).table
+
+
+def oracle_axiom_report(subsets, order, table) -> AxiomReport:
+    """``_axiom_report`` as a scalar scan: a Python meet loop of s * 2**s steps."""
+    broken = next((y for y in order if y & ~table[y] or table[table[y]] != table[y]), None)
+    # meet[y] is the intersection of the images of every superset of y;
+    # descending order finishes each y | b before y reads it
+    bits = [1 << i for i in range(len(table).bit_length() - 1)]
+    meet = table[:]
+    for y in range(len(table) - 1, -1, -1):
+        for b in bits:
+            if not y & b:
+                meet[y] &= meet[y | b]
+    bad = next((y for y in order if table[y] & ~meet[y]), None)
+    if broken is not None:
+        counterexample = (subsets[broken],)
+    elif bad is not None:
+        z = next(z for z in order if z & bad == bad and table[bad] & ~table[z])
+        counterexample = (subsets[bad], subsets[z])
+    else:
+        counterexample = None
+    return AxiomReport(broken is None, bad is None, bad is None, counterexample)
+
+
+@functools.cache
+def _carrier(n: int) -> tuple[list[frozenset], list[int]]:
+    """``_power_set`` of an ``n``-statement language; carrier 0 is empty."""
+    return closure_ops._power_set(prefix_language(n).statements if n else ())
+
+
+def _assert_report_matches_oracle(n: int, table: list[int]) -> AxiomReport:
+    subsets, order = _carrier(n)
+    report = closure_ops._axiom_report(subsets, order, table)
+    assert report == oracle_axiom_report(subsets, order, table)
+    return report
+
+
+def _gather(table: list[int]) -> list[int]:
+    return [table[image] for image in table]
+
+
+def _bits(mask: int) -> list[int]:
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _fixpoint_table(draw, n: int, closed: set[int]) -> list[int]:
+    """Each closed mask to itself, every other mask to some closed mask above it."""
+    closed = closed | {(1 << n) - 1}
+    above = [sorted(c for c in closed if c & y == y) for y in range(1 << n)]
+    return [y if y in closed else draw(st.sampled_from(above[y])) for y in range(1 << n)]
+
+
+@st.composite
+def _failing_extensive(draw):
+    n, table = draw(_closures(draw(st.integers(1, 7))))
+    y = draw(st.integers(1, (1 << n) - 1))
+    table[y] &= ~draw(st.sampled_from(_bits(y)))
+    return n, table
+
+
+@st.composite
+def _failing_idempotent(draw):
+    # y, plus base, plus r[j] for every j in y: extensive and monotone
+    n = draw(st.integers(2, 7))
+    full = (1 << n) - 1
+    base, *r = draw(st.lists(st.integers(0, full), min_size=n + 1, max_size=n + 1))
+    table = []
+    for y in range(full + 1):
+        image = y | base
+        for j in range(n):
+            if y >> j & 1:
+                image |= r[j]
+        table.append(image)
+    return n, table
+
+
+@st.composite
+def _failing_monotone(draw):
+    # extensive and idempotent; y below the closed c goes to the full mask
+    n = draw(st.integers(2, 7))
+    full = (1 << n) - 1
+    c = draw(st.integers(1, full - 1))
+    y = c & draw(st.integers(0, full)) & ~draw(st.sampled_from(_bits(c)))
+    closed = draw(st.sets(st.integers(0, full), max_size=12)) - {y} | {c}
+    table = _fixpoint_table(draw, n, closed)
+    table[y] = full
+    return n, table
+
+
+@st.composite
+def _extensive_idempotent(draw):
+    n = draw(st.integers(0, 7))
+    return n, _fixpoint_table(draw, n, draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12)))
+
+
+# the expected (extensive_idempotent, monotone) of each kind; None is either
+_KINDS = {
+    "pass": (st.integers(0, 7).flatmap(_closures), (True, True)),
+    "extensive": (_failing_extensive(), (False, None)),
+    "idempotent": (_failing_idempotent().filter(lambda c: _gather(c[1]) != c[1]), (False, True)),
+    "monotone": (_failing_monotone(), (True, False)),
+    "fixpoints": (_extensive_idempotent(), (True, None)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _KINDS[kind][0])))
+def test_packed_report_matches_scalar_oracle(case):
+    kind, (n, table) = case
+    report = _assert_report_matches_oracle(n, table)
+    for verdict, expected in zip((report.extensive_idempotent, report.monotone), _KINDS[kind][1]):
+        assert expected is None or verdict == expected
+
+
+def test_carrier_zero_is_one_lane():
+    assert _assert_report_matches_oracle(0, [0]) == AxiomReport(True, True, True, None)
+
+
+_FULL = (1 << MAX_CARRIER) - 1
+_HIGH = 1 << (MAX_CARRIER - 1)  # 0x800, the top bit of a lane's image
+
+
+@pytest.mark.parametrize("table, verdicts", [
+    ([y | _HIGH for y in range(_FULL + 1)], (True, True)),
+    ([_FULL] * (_FULL + 1), (True, True)),
+    ([y | (y << 1 & _FULL) for y in range(_FULL + 1)], (False, True)),
+    (list(range(_FULL)) + [_FULL & ~_HIGH], (False, False)),  # the last lane breaks both
+    ([_HIGH] * (_FULL + 1), (False, True)),
+])
+def test_lane_edge_tables_match_scalar_oracle(table, verdicts):
+    report = _assert_report_matches_oracle(MAX_CARRIER, table)
+    assert (report.extensive_idempotent, report.monotone) == verdicts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(_HIGH, _FULL), max_size=6), st.integers(0, _HIGH - 2))
+def test_high_image_tables_match_scalar_oracle(family, y):
+    # closures whose every image holds 0x800, then y (without it) moved up to it
+    table = _closure_table(MAX_CARRIER, family)
+    assert _assert_report_matches_oracle(MAX_CARRIER, table).all_ok
+    identity = list(range(_FULL + 1))
+    identity[y] |= _HIGH
+    report = _assert_report_matches_oracle(MAX_CARRIER, identity)
+    assert (report.extensive_idempotent, report.monotone) == (True, False)

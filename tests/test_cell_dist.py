@@ -209,10 +209,79 @@ def test_validate_cell_table_flags_violations():
         validate_cell_table([[0, 1]], (F(1, 2), F(1, 2)))
 
 
+def oracle_discrepancy(sequences, probs):
+    """The per-trial double loop, kept as the oracle of the mapped one."""
+    tables = [_as_terms(s) for s in sequences]
+    _, den, nums = _shares(probs)
+    if len(tables) != len(nums):
+        raise ValueError("one sequence per cell is required")
+    worst = 0
+    for k, table in enumerate(tables):
+        for t, a in enumerate(table, 1):
+            gap = abs(a * den - t * nums[k])
+            if gap > worst:
+                worst = gap
+    return Fraction(worst, den)
+
+
 def test_discrepancy_values():
     assert discrepancy(FIXTURE, FIXTURE_PROBS) == 1
     _, sequences = build_cell_sequences(QUARTERS, 6)
     assert discrepancy(sequences, QUARTERS) == F(1, 2)
+
+
+@pytest.mark.parametrize("weights, worst", [
+    ((3, 5, 11, 11, 1, 11), F(43, 42)),
+    ((5, 9, 11, 11, 3, 3, 1, 9), F(53, 52)),
+])
+def test_greedy_discrepancy_can_exceed_one(weights, worst):
+    probs = [F(w, sum(weights)) for w in weights]
+    for periods in (1, 3):
+        _, sequences = build_cell_sequences(probs, periods * sum(weights))
+        assert discrepancy(sequences, probs) == worst == oracle_discrepancy(sequences, probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8).filter(any),
+    n=st.integers(min_value=0, max_value=120),
+)
+def test_greedy_counts_stay_within_the_documented_bounds(weights, n):
+    # a count exceeds t*p_k by at most 1 - 1/m and falls short by at most (m - 1)(1 - 1/m)
+    m, probs = len(weights), [F(w, sum(weights)) for w in weights]
+    _, sequences = build_cell_sequences(probs, n)
+    gaps = [a - t * p for seq, p in zip(sequences, probs) for t, a in enumerate(seq.terms, 1)]
+    assert max(gaps, default=0) <= 1 - F(1, m)
+    assert -min(gaps, default=0) <= (m - 1) * (1 - F(1, m))
+
+
+@st.composite
+def discrepancy_tables(draw):
+    """Greedy tables with zero shares, raw term lists that break the form, one cell, no trials."""
+    kind = draw(st.sampled_from(["greedy", "raw", "single", "empty", "mismatched"]))
+    m = 1 if kind == "single" else draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=m, max_size=m))
+    weights[draw(st.integers(0, m - 1))] += 1
+    probs = [F(w, sum(weights)) for w in weights]
+    n = 0 if kind == "empty" else draw(st.integers(min_value=0, max_value=60))
+    if kind == "raw":
+        column = st.lists(st.integers(min_value=-5, max_value=70), max_size=n)
+        return draw(st.lists(column, min_size=m, max_size=m)), probs
+    table = _greedy_table(weights, n)
+    if kind == "mismatched":
+        table = table[1:] if draw(st.booleans()) else table + [[0] * n]
+    return table, probs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=discrepancy_tables())
+def test_discrepancy_matches_double_loop(case):
+    table, probs = case
+    expected = outcome(lambda: oracle_discrepancy(table, probs))
+    assert outcome(lambda: discrepancy(table, probs)) == expected
+    sequences = outcome(lambda: [CumulativeSequence(column) for column in table])
+    if sequences[0] == "ok":
+        assert outcome(lambda: discrepancy(sequences[1], probs)) == expected
 
 
 def test_one_hot_trial_validates():

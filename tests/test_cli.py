@@ -193,6 +193,24 @@ def test_check_axioms_self_maps(capsys):
     ]
 
 
+# stdout of every family sweep up to size 10 and of both self-map runs, recorded
+# from the CLI while each verdict still came from the scalar meet loop
+_PASS = "extensive-idempotent: PASS\nmonotone: PASS\nfinitary: PASS\noperators checked: "
+CHECK_AXIOMS_BYTES = [
+    (["--family", "--language-size", str(s)], f"{_PASS}{checked}\n")
+    for s, checked in enumerate([2, 6, 14, 30, 62, 126, 254, 510, 1022, 2046], 1)
+] + [
+    (["--self-maps"], "monotonicity-implied: PASS\nmaps checked: 256\n"),
+    (["--self-maps", "--language-size", "1"], "monotonicity-implied: PASS\nmaps checked: 4\n"),
+]
+
+
+@pytest.mark.parametrize("flags, stdout", CHECK_AXIOMS_BYTES)
+def test_check_axioms_bytes_are_pinned(capsys, flags, stdout):
+    assert main(["check-axioms", *flags]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_check_axioms_flags_are_exclusive(capsys):
     assert main(["check-axioms", "--family", "--self-maps"]) == 2
     assert "error:" in capsys.readouterr().err
