@@ -3,7 +3,15 @@
 Given a rational probability vector, the greedy largest-deficit rule gives
 each trial one of m cells.  A count exceeds its ideal share t*p_k by at most
 1 - 1/m and falls short by at most (m - 1)(1 - 1/m); the discrepancy can
-exceed 1 (43/42 for shares (3,5,11,11,1,11)/42).
+exceed 1 (43/42 for shares (3,5,11,11,1,11)/42).  The rows repeat every den
+trials, den the shares' common denominator (as in Tijdeman's chairman
+assignment).  The deficits d_k(t) = t*nums[k] - a_k(t)*den start at 0 and
+sum to 0 after every trial.  A trial adds nums, which sum to den, so the
+chosen (largest) deficit is at least den/m when it drops by den, and the
+rest rise: none reaches -den.  At t = den each d_k is a multiple of den
+above -den, and they sum to 0, so all are 0: row q*den + r is row r plus
+(q*den, 0, q*nums[1], ...).  A nonzero deficit there raises.
+
 Per-trial outcomes re-emerge as one-hot statement tuples, matching the
 coordinatewise product of per-cell source-conditional operators.
 """
@@ -14,11 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
+from . import freq_seq
 from .closure_ops import SourceConditionalOperator, realize_product
-from .freq_seq import CumulativeSequence, check_cumulative_form, checked_chunks, parse_probability
+from .freq_seq import CumulativeSequence, check_cumulative_form, check_steps, parse_probability
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
@@ -90,18 +99,6 @@ def _shares(
     return probs, den, [p.numerator * (den // p.denominator) for p in probs]
 
 
-def cell_rows(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[tuple[int, ...]]:
-    """(t, cell, a_1(t), ..., a_m(t)) for trials t = 1..n of the greedy assignment.
-
-    Trial t goes to the cell with the largest deficit t*p_k - a_k(t-1) (lowest
-    index on ties; exact integers).  Arguments are checked before the first row.
-    """
-    probs, den, nums = _shares(probs)
-    if n < 0:
-        raise ValueError("trial count must be non-negative")
-    return _greedy(den, nums, n)
-
-
 def _greedy(den: int, nums: list[int], n: int) -> Iterator[tuple[int, ...]]:
     deficits = [0] * len(nums)  # t*nums[k] - a_k(t)*den
     row = [0, 0] + deficits  # t, cell, a_1(t), ..., a_m(t)
@@ -114,18 +111,51 @@ def _greedy(den: int, nums: list[int], n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(row)
 
 
-def _table(fields: list[int], m: int) -> tuple[CellAssignment, list[CumulativeSequence]]:
-    """Row-major fields t, cell, a_1, ..., a_m as an assignment and cell columns."""
-    _, chosen, *columns = (tuple(fields[k :: m + 2]) for k in range(m + 2))
-    return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]
+def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[list]:
+    """Column chunks (``_chunks``) of trials 1..n, arguments checked first: trial t goes to
+    the cell with the largest deficit t*p_k - a_k(t-1) (lowest index on ties; exact integers)."""
+    _, den, nums = _shares(probs)
+    if n < 0:
+        raise ValueError("trial count must be non-negative")
+    return _chunks(den, nums, n)
+
+
+def _chunks(den: int, nums: list[int], n: int) -> Iterator[list]:
+    """Rows 1..n of ``_greedy`` as column chunks: the cells, then a_1, ..., a_m,
+    each a pair ``(ints, idx)`` standing for ``ints[i] for i in idx``.  One
+    checked period gives each chunk of whole periods the same indices into a
+    per-chunk pool; a period longer than a chunk gives the loop's columns."""
+    periods = min(freq_seq.ROWS_PER_CHUNK // den, -(-n // den))
+    if not periods:
+        rows = _greedy(den, nums, n)
+        while chunk := list(islice(rows, freq_seq.ROWS_PER_CHUNK)):
+            _, *columns = zip(*chunk)
+            del chunk
+            yield [(column, range(len(column))) for column in columns]
+        return
+    _, cells, *columns = zip(*_greedy(den, nums, den))
+    if [column[-1] for column in columns] != nums:
+        raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
+    size, places = periods * den, list(range(periods * den + 1))  # shared index ints
+    indices = [list(cells) * periods] + [
+        [places[a + q * num] for q in range(periods) for a in column]
+        for column, num in zip(columns, nums)]
+    for start in range(0, n, size):
+        q, rows = start // den, min(size, n - start)  # the counts enter at q*nums
+        pools = (list(range(q * num, (q + periods) * num + 1)) for num in nums)
+        yield [(pool, idx if rows == size else idx[:rows])
+               for pool, idx in zip(chain(([*range(len(nums) + 1)],), pools), indices)]
 
 
 def build_cell_sequences(
     probs: ProbabilityVector | Sequence[Fraction], n: int
 ) -> tuple[CellAssignment, list[CumulativeSequence]]:
-    """The greedy assignment of trials 1..n (see ``cell_rows``) as a table."""
-    probs, _, _ = _shares(probs)
-    return _table(list(chain.from_iterable(cell_rows(probs, n))), len(probs))
+    """The greedy assignment of trials 1..n (see ``cell_column_chunks``) as a table."""
+    columns: list[list[int]] = [[] for _ in range(len(probs) + 1)]
+    for chunk in cell_column_chunks(probs, n):
+        for column, (ints, idx) in zip(columns, chunk):
+            column += map(ints.__getitem__, idx)
+    return CellAssignment(columns[0], len(probs)), [CumulativeSequence(c) for c in columns[1:]]
 
 
 @dataclass(frozen=True)
@@ -233,10 +263,10 @@ def cell_operator_realization(
     greedy assignment, then realizes their product on all-source tuples.
     Must agree with ``trials_to_tuples`` on the same assignment.
     """
-    probs, _, _ = _shares(probs)
+    probs, den, nums = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
-    _, cell, *_ = next(islice(cell_rows(probs, t), t - 1, None))  # rows are prefix-stable
+    _, cell, *_ = next(islice(_greedy(den, nums, t), (t - 1) % den, None))  # rows repeat every den
     source = source_statement()
     ops = [
         SourceConditionalOperator(frozenset({event(t) if cell == k else non_event(t)}), source)
@@ -250,36 +280,46 @@ def _header(m: int) -> list[str]:
     return ["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]
 
 
-def cell_chunks(rows: Iterable[tuple[int, ...]], m: int, fmt: str) -> Iterator[str]:
-    """Render ``cell_rows`` as CSV (header first) or JSON lines, a chunk at a time.
+def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
+    """Render column chunks (see ``_chunks``) as CSV (header first) or JSON lines.
 
-    For ints a row's %-template writes the bytes of ``csv.writer``, or of
-    ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
-    Each chunk is checked before it is rendered as the materialized table is:
-    each count column rising by 0 or 1 from 0 in ``freq_seq.checked_chunks``
-    (the ``CumulativeSequence`` error), then cells in 1..m (the
-    ``CellAssignment`` error).
+    For ints, t from position, the row template writes the bytes of ``csv.writer``,
+    or of ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
+    Each chunk is checked as the materialized table is before it is rendered: its
+    cells by ``CellAssignment``, then each count column's steps, carried on from
+    the chunk before, by ``CumulativeSequence``; each text column is rendered
+    from the pool and indices of the column checked.
     """
     if fmt == "csv":
         yield ",".join(_header(m)) + "\n"
-        template = ",".join(["%s"] * (m + 2)) + "\n"
+        sep, template = ",", ",".join(["%s"] * (m + 2)) + "\n"
     else:
-        template = '{"trial": %s, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
-    done = 0
-    for chunk in checked_chunks(rows, 2):
-        _check_cells(list(map(itemgetter(1), chunk)), m, done)
-        done += len(chunk)
-        text = "".join(map(template.__mod__, chunk))
-        del chunk  # read and render the next chunk without this one or its text
+        sep, template = ", ", ('{"trial": %s, "cell": %s, "counts": ['
+                               + ", ".join(["%s"] * m) + "]}\n")
+    forms = template.split(sep)  # a row is sep.join of its fields' forms: template % row
+    done, ends = 0, [0] * m  # the count columns' last terms so far
+    for chunk in chunks:
+        ints, idx = chunk[0]
+        start, done = done, done + len(idx)
+        _check_cells(list(map(ints.__getitem__, idx)), m, start)
+        ends = [check_steps(list(map(ints.__getitem__, idx)), end, start)
+                for (ints, idx), end in zip(chunk[1:], ends)]
+        texts = [map(forms[0].__mod__, range(start + 1, done + 1))]
+        texts += [map(list(map(form.__mod__, ints)).__getitem__, idx)
+                  for form, (ints, idx) in zip(forms[1:], chunk)]
+        del chunk, ints, idx  # join the rows without the pools, and read on without them
+        text = "".join(map(sep.join, zip(*texts, strict=True)))
+        del texts
         yield text
         del text
 
 
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
     """CSV with columns t, assigned_cell, a_1, ..., a_m: ``cell_chunks`` of the table."""
-    terms = (seq.terms for seq in sequences)
-    rows = zip(range(1, len(assignment) + 1), assignment.entries, *terms, strict=True)
-    return "".join(cell_chunks(rows, len(sequences), "csv"))
+    columns, size = [assignment.entries, *(seq.terms for seq in sequences)], freq_seq.ROWS_PER_CHUNK
+    chunks = ([(c[lo:lo + size], range(min(size, len(c) - lo))) for c in columns]
+              for lo in range(0, max(map(len, columns)), size))
+    return "".join(cell_chunks(chunks, len(sequences), "csv"))
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
@@ -300,4 +340,6 @@ def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSeque
         if len(row) != m + 2 or int(row[0]) != expected:
             raise ValueError(f"inconsistent cell CSV row {expected}")
         fields += row
-    return _table(list(map(int, fields)), m)
+    ints = list(map(int, fields))
+    _, chosen, *columns = (tuple(ints[k :: m + 2]) for k in range(m + 2))
+    return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]

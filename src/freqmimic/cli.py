@@ -3,11 +3,12 @@
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
 are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
-alone (k is their position), gen-dist its greedy rows, each written a
-checked chunk at a time.  compare takes the designed stream's counts from
-their closed form and counts the generated stream in packed chunks as it is
-drawn.  So memory does not grow with --n; flags are checked before the first
-row.
+alone (k is their position), each written a checked chunk at a time.
+gen-dist runs one greedy period and writes each later row as a period row
+plus an offset, in checked column chunks.  compare takes the designed
+stream's counts from their closed form and counts the generated stream in
+packed chunks as it is drawn.  So memory does not grow with --n; flags are
+checked before the first row.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant
 check finds a counterexample (check-axioms names it on stderr).
 """
@@ -114,8 +115,8 @@ def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
 
 def _cmd_gen_dist(args: argparse.Namespace) -> int:
     probs = cell_dist.parse_probability_vector(args.probs)
-    rows = cell_dist.cell_rows(probs, args.n)
-    sys.stdout.writelines(cell_dist.cell_chunks(rows, len(probs), args.format))
+    chunks = cell_dist.cell_column_chunks(probs, args.n)
+    sys.stdout.writelines(cell_dist.cell_chunks(chunks, len(probs), args.format))
     return 0
 
 

@@ -82,9 +82,11 @@ def to_binary(seq: CumulativeSequence) -> BinaryTrialSequence:
 
 
 def from_binary(bits: Iterable[int]) -> CumulativeSequence:
-    """Prefix sums; inverse of ``to_binary``."""
+    """Prefix sums; inverse of ``to_binary``.  The bits are checked once, not again as steps."""
     checked = BinaryTrialSequence(tuple(bits))
-    return CumulativeSequence(tuple(itertools.accumulate(checked.bits)))
+    seq = object.__new__(CumulativeSequence)
+    object.__setattr__(seq, "terms", tuple(itertools.accumulate(checked.bits)))
+    return seq
 
 
 def label_events(bits: BinaryTrialSequence) -> LabeledEventSequence:

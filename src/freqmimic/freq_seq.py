@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from operator import countOf, floordiv, itemgetter, mul, sub
+from operator import countOf, floordiv, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -268,32 +268,27 @@ def count_phase_switches(seq: CumulativeSequence) -> int:
 
 CSV_HEADER = ("n", "a_n", "freq_num", "freq_den")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-ROWS_PER_CHUNK = 16384
+ROWS_PER_CHUNK = 8192
 
 
-def checked_chunks(rows: Iterable, first: int | None = None) -> Iterator[list]:
-    """Rows in lists of ``ROWS_PER_CHUNK``, each checked before it is yielded.
+def check_steps(terms: Sequence[int], prev: int, done: int) -> int:
+    """Raise the ``CumulativeSequence`` error for the first bad one of a count
+    column's terms done + 1, done + 2, ..., term done being ``prev``; return the last."""
+    bad = _first_bad_step(terms, prev)
+    if bad is not None:
+        raise _form_error(done + bad + 1)
+    return terms[-1] if terms else prev
 
-    With ``first`` None the rows are the terms of one count column;
-    otherwise every field of a row from index ``first`` on is a count
-    column.  A count column must start at 0 or 1 and step by 0 or 1, and a
-    violation raises the error ``CumulativeSequence`` raises for that
-    column, so a stream is checked exactly as the materialized columns are.
-    """
-    rows = iter(rows)
-    done, prev = 0, repeat(0)
-    while chunk := list(islice(rows, ROWS_PER_CHUNK)):
-        if first is None:
-            columns, ends = [chunk], chunk[-1:]
-        else:
-            columns = (list(map(itemgetter(k), chunk)) for k in range(first, len(chunk[0])))
-            ends = chunk[-1][first:]
-        for bad in map(_first_bad_step, columns, prev):
-            if bad is not None:
-                raise _form_error(done + bad + 1)
-        done, prev = done + len(chunk), ends
+
+def checked_chunks(terms: Iterable[int]) -> Iterator[list]:
+    """One count column's terms in lists of ``ROWS_PER_CHUNK``, each passed
+    through ``check_steps`` before it is yielded, as ``CumulativeSequence`` checks them."""
+    terms = iter(terms)
+    done, prev = 0, 0
+    while chunk := list(islice(terms, ROWS_PER_CHUNK)):
+        done, prev = done + len(chunk), check_steps(chunk, prev, done)
         yield chunk
-        del chunk, columns  # read the next chunk without holding this one
+        del chunk  # read the next chunk without holding this one
 
 
 _ROWS = {"csv": "k,%s,%s,k\n", "json": '{"n": k, "a": %s, "freq": [%s, k]}\n'}

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqmimic.cell_dist import (
@@ -22,7 +22,7 @@ from freqmimic.cell_dist import (
 )
 from freqmimic.freq_seq import CumulativeSequence, check_cumulative_form
 from freqmimic.language_core import event, non_event, source_statement
-from test_stream_oracle import cell_json_rows
+from test_stream_oracle import cell_json_rows, loop_rows
 
 F = Fraction
 
@@ -253,6 +253,38 @@ def test_greedy_counts_stay_within_the_documented_bounds(weights, n):
     gaps = [a - t * p for seq, p in zip(sequences, probs) for t, a in enumerate(seq.terms, 1)]
     assert max(gaps, default=0) <= 1 - F(1, m)
     assert -min(gaps, default=0) <= (m - 1) * (1 - F(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8).filter(any),
+    n=st.integers(min_value=0, max_value=60),
+)
+@example(weights=[7], n=0)  # m = 1: den is 1
+@example(weights=[0, 3, 0, 2], n=4)  # zero shares never take a trial; n < den
+def test_greedy_deficits_are_all_zero_after_one_period(weights, n):
+    # the module docstring's proof: at t = den every deficit is 0, so the rows repeat
+    probs, den, nums = _shares([F(w, sum(weights)) for w in weights])
+    rows = loop_rows(probs, den + n)
+    deficits = [den * num - a * den for num, a in zip(nums, rows[den - 1][2:])]
+    assert deficits == [0] * len(nums)
+    for t, cell, *counts in rows[den:]:
+        _, first_cell, *first = rows[t - den - 1]
+        assert (cell, counts) == (first_cell, [a + num for a, num in zip(first, nums)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5).filter(any),
+    data=st.data(),
+)
+def test_cell_operator_realization_past_the_period_matches_the_loop(weights, data):
+    probs = [F(w, sum(weights)) for w in weights]
+    _, den, _ = _shares(probs)
+    t = data.draw(st.integers(min_value=den + 1, max_value=4 * den + 3))
+    *_, (_, cell, *_) = loop_rows(probs, t)
+    got = cell_operator_realization(probs, t + data.draw(st.integers(0, 5)), t)
+    assert (got.trial, got.cell) == (t, cell)
 
 
 @st.composite

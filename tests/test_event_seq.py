@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from freqmimic.event_seq import (
     to_binary,
     trace_operator,
 )
-from freqmimic.freq_seq import canonical_prefix, truncate_freeze
+from freqmimic.freq_seq import CumulativeSequence, canonical_prefix, truncate_freeze
 from freqmimic.language_core import StatementKind, event, non_event, source_statement
 
 F = Fraction
@@ -82,6 +83,29 @@ def test_binary_sequence_validates_bits():
 def test_from_binary_small_cases():
     assert from_binary(BinaryTrialSequence(())).terms == ()
     assert from_binary(BinaryTrialSequence((1, 1))).terms == (1, 2)
+
+
+def oracle_from_binary(bits):
+    """The two-scan route: check the bits, then the prefix sums' steps."""
+    checked = BinaryTrialSequence(tuple(bits))
+    return CumulativeSequence(tuple(itertools.accumulate(checked.bits)))
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+@given(st.lists(st.sampled_from([0, 1, 0, 1, True, False, 1.0, 0.0, F(1), 2, -1, 0.5]),
+                max_size=40))
+@settings(max_examples=300)
+def test_from_binary_matches_the_two_scan_route(bits):
+    got, expected = _outcome(lambda: from_binary(bits)), _outcome(lambda: oracle_from_binary(bits))
+    assert got == expected
+    if got[0] == "ok":
+        assert list(map(type, got[1].terms)) == list(map(type, expected[1].terms))
 
 
 def test_from_binary_inverts_to_binary():

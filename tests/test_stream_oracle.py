@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import subprocess
 import sys
 import time
@@ -308,6 +309,24 @@ def cell_json_rows(
     ]
 
 
+def loop_rows(probs, n):
+    """The rows (t, cell, a_1, ..., a_m) of the greedy loop run to trial n."""
+    _, den, nums = cell_dist._shares(probs)
+    return list(cell_dist._greedy(den, nums, n))
+
+
+def old_cell_writer(rows, m, fmt, header=True):
+    """The row writer gen-dist had before column chunks: one %-template per
+    row (t, cell, a_1, ..., a_m), and the CSV header first."""
+    if fmt == "csv":
+        head = ",".join(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]) + "\n"
+        template = ",".join(["%s"] * (m + 2)) + "\n"
+    else:
+        head = ""
+        template = '{"trial": %s, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
+    return (head if header else "") + "".join(map(template.__mod__, rows))
+
+
 # ------------------------------------------------------------------ helpers
 
 
@@ -457,38 +476,44 @@ def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
     assert got == expected
 
 
-def oracle_checked_chunks(rows, first, chunk):
-    """Chunks of ``chunk`` rows, ended by the first count column whose prefix
-    through the chunk is not a ``CumulativeSequence``: (chunks, error or None)."""
-    chunks = []
+def oracle_cell_chunks(rows, m, chunk, fmt):
+    """The row writer's text of each chunk of ``chunk`` rows, ended by the first
+    chunk whose cells through it are not a ``CellAssignment`` or one of whose
+    count columns through it is not a ``CumulativeSequence``: (texts, error or None)."""
+    texts = []
     for end in range(chunk, len(rows) + chunk, chunk):
-        for k in range(first, len(rows[0])):
-            error = outcome(lambda: CumulativeSequence([row[k] for row in rows[:end]]))
-            if error[0] != "ok":
-                return chunks, error
-        chunks.append(rows[end - chunk:end])
-    return chunks, None
+        error = outcome(lambda: CellAssignment([row[1] for row in rows[:end]], m))
+        for k in range(2, m + 2):
+            if error[0] == "ok":
+                error = outcome(lambda: CumulativeSequence([row[k] for row in rows[:end]]))
+        if error[0] != "ok":
+            return texts, error
+        texts.append(old_cell_writer(rows[end - chunk:end], m, fmt, header=False))
+    return texts, None
 
 
-def drain_checked_chunks(rows, first):
-    chunks = []
-    error = outcome(lambda: chunks.extend(freq_seq.checked_chunks(iter(rows), first)))
-    return chunks, None if error[0] == "ok" else error
+def pooled(column):
+    """A column as a pool of its distinct values and indices into it."""
+    ints = sorted(set(column))
+    return ints, [ints.index(value) for value in column]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), width=st.integers(min_value=2, max_value=5), chunk=any_chunk)
-def test_checked_chunks_raises_each_columns_sequence_error(data, width, chunk):
-    """Every column from ``first`` on fails as its own CumulativeSequence would."""
-    first = data.draw(st.integers(min_value=1, max_value=width - 1))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=1, max_value=4), chunk=any_chunk,
+       fmt=st.sampled_from(["csv", "json"]))
+def test_cell_chunks_raise_each_columns_sequence_error(data, m, chunk, fmt):
+    """Cells and every count column fail as the materialized table would, chunk by chunk."""
     n = data.draw(st.integers(min_value=1, max_value=150))
+    cells = data.draw(st.lists(st.sampled_from([*range(1, m + 1)] * 20 + [0, m + 1]),
+                               min_size=n, max_size=n))
     steps = st.lists(st.sampled_from([0, 1] * 6 + [2, -1]), min_size=n, max_size=n)
-    columns = [range(1, n + 1)] * first + [
-        list(itertools.accumulate(data.draw(steps))) for _ in range(width - first)
-    ]
-    rows = list(zip(*columns))
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        assert drain_checked_chunks(rows, first) == oracle_checked_chunks(rows, first, chunk)
+    columns = [cells] + [list(itertools.accumulate(data.draw(steps))) for _ in range(m)]
+    chunks = [[pooled(column[lo:lo + chunk]) for column in columns] for lo in range(0, n, chunk)]
+    texts = []
+    error = outcome(lambda: texts.extend(cell_dist.cell_chunks(iter(chunks), m, fmt)))
+    got = (texts[1:] if fmt == "csv" else texts), None if error[0] == "ok" else error
+    rows = list(zip(range(1, n + 1), *columns))
+    assert got == oracle_cell_chunks(rows, m, chunk, fmt)
 
 
 def test_cumulative_form_check_takes_steps_of_exactly_0_or_1():
@@ -861,6 +886,78 @@ def _faulty_rows(probs, n, fault, at):
     return [tuple(row) for row in rows]
 
 
+@st.composite
+def tiled_cases(draw):
+    """A share vector, a chunk size on either side of its period den, and n
+    at 0, below den, at a multiple of den or between multiples."""
+    weights = draw(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5)
+                   .filter(any))
+    probs = [F(w, sum(weights)) for w in weights]
+    den = math.lcm(*(p.denominator for p in probs))
+    chunk = draw(st.one_of(st.integers(min_value=1, max_value=den),
+                           st.integers(min_value=den, max_value=4 * den)))
+    n = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=den),
+                       st.integers(min_value=1, max_value=4).map(lambda q: q * den),
+                       st.integers(min_value=0, max_value=5 * den + 3)))
+    return probs, n, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tiled_cases(), fmt=st.sampled_from(["csv", "json"]))
+@example(case=([F(1, 1)], 5, 1), fmt="json")
+@example(case=([F(0), F(0), F(1)], 1, 1), fmt="csv")  # cell 3 of a one-row period
+@example(case=([F(0), F(2, 5), F(3, 5)], 11, 10), fmt="csv")  # two periods a chunk, one short
+def test_gen_dist_tiles_match_the_loop_and_row_writer(case, fmt):
+    probs, n, chunk = case
+    rows = loop_rows(probs, n)
+    argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+        assert run_main_err(argv) == (0, old_cell_writer(rows, len(probs), fmt), "")
+        assert decoded_rows(cell_dist.cell_column_chunks(probs, n)) == [row[1:] for row in rows]
+
+
+@pytest.mark.parametrize("probs, n", [
+    ("1/6,1/3,1/2", 40000),  # 1,365 periods of 6 rows a chunk, five chunks
+    ("1/16411,16410/16411", 20000),  # a period longer than a chunk: the loop's rows
+])
+def test_gen_dist_matches_the_loop_at_full_chunks(probs, n):
+    rows = loop_rows(cell_dist.parse_probability_vector(probs), n)
+    for fmt in ("csv", "json"):
+        code, out = run_main(["gen-dist", "--probs", probs, "--n", str(n), "--format", fmt])
+        assert (code, out) == (0, old_cell_writer(rows, len(rows[0]) - 2, fmt))
+
+
+def test_a_period_that_ends_off_its_shares_raises():
+    rows = loop_rows([F(1, 4), F(3, 4)], 4)
+    rows[-1] = (4, 2, 2, 2)  # a_1(4) = 2, not 1: deficits -4 and 4
+    with mock.patch.object(cell_dist, "_greedy", lambda den, nums, n: iter(rows[:n])):
+        with pytest.raises(RuntimeError, match="^greedy deficits are not all 0 at trial 4$"):
+            next(cell_dist.cell_column_chunks([F(1, 4), F(3, 4)], 9))
+
+
+def decoded_rows(chunks):
+    """The rows (cell, a_1, ..., a_m) that column chunks stand for."""
+    columns = ([[ints[i] for i in idx] for ints, idx in chunk] for chunk in chunks)
+    return [row for chunk in columns for row in zip(*chunk)]
+
+
+def _corrupted(chunks, rows):
+    """Column chunks with every value that differs from ``rows`` (t, cell, a_1,
+    ..., a_m) appended to its column's pool and indexed there instead."""
+    done = 0
+    for chunk in chunks:
+        out = []
+        for field, (ints, idx) in enumerate(chunk, 1):
+            ints, idx = list(ints), list(idx)
+            for i, want in enumerate(row[field] for row in rows[done:done + len(idx)]):
+                if ints[idx[i]] != want:
+                    idx[i] = len(ints)
+                    ints.append(want)
+            out.append((ints, idx))
+        done += len(idx)
+        yield out
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     probs=cell_vectors,
@@ -870,7 +967,11 @@ def _faulty_rows(probs, n, fault, at):
     fmt=st.sampled_from(["csv", "json"]),
     chunk=any_chunk,
 )
+@example(probs=[F(1, 6), F(1, 3), F(1, 2)], n=100, fault="decrease", at=70, fmt="csv", chunk=24)
 def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fmt, chunk):
+    # The fault goes into the column chunks gen-dist generates, tiled from one
+    # period when the period fits a chunk, at any row: past the first period
+    # and past a chunk boundary too.
     rows = _faulty_rows(probs, n, fault, at % n)
     m = len(probs)
     _, cells, *columns = zip(*rows)
@@ -879,10 +980,14 @@ def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fm
     )
     assert expected[0] is ValueError
     argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
-    with mock.patch.object(cell_dist, "_greedy", lambda den, nums, n: iter(rows)), \
+    generate = cell_dist._chunks
+    with mock.patch.object(cell_dist, "_chunks",
+                           lambda den, nums, n: _corrupted(generate(den, nums, n), rows)), \
             mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         code, _, err = run_main_err(argv)
         assert outcome(lambda: cell_dist.build_cell_sequences(probs, n)) == expected
+        injected = decoded_rows(cell_dist.cell_column_chunks(probs, n))
+    assert injected == [row[1:] for row in rows]
     assert (code, err) == (2, f"error: {expected[1]}\n")
 
 
@@ -1088,6 +1193,26 @@ def probed_rows(rows, chunk, held, tail=0):
     return pull()
 
 
+def probed_chunks(chunks, held):
+    """Yield column ``chunks``; as each chunk after the first is pulled, append
+    to ``held`` the references the consumer still holds to the chunk before,
+    its columns and their pools and indices (CPython reference counts)."""
+    chunks = list(chunks)
+
+    def refs(chunk):
+        return [sys.getrefcount(part) for part in [chunk, *chunk, *itertools.chain(*chunk)]]
+
+    before = [refs(chunks[i]) for i in range(len(chunks))]
+
+    def pull():
+        for i in range(len(chunks)):
+            if i:
+                held.append(sum(map(operator.sub, refs(chunks[i - 1]), before[i - 1])))
+            yield chunks[i]
+
+    return pull()
+
+
 class _Term(int):
     pass
 
@@ -1102,8 +1227,10 @@ def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
     terms = [_Term(a) for a in canonical_terms(F(2, 5), n)]
     streams = {
         "sequence_chunks": lambda: sequence_chunks(probed_rows(terms, chunk, held, 1), fmt),
+        # one period of 4 rows, so 8-row chunks of two periods each
         "cell_chunks": lambda: cell_dist.cell_chunks(
-            probed_rows(cell_dist.cell_rows([F(1, 6), F(1, 3), F(1, 2)], n), chunk, held), 3, fmt
+            probed_chunks(cell_dist.cell_column_chunks([F(1, 4), F(1, 2), F(1, 4)], n), held),
+            3, fmt,
         ),
         "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), n, fmt),  # two passes
     }
