@@ -283,20 +283,18 @@ def _header(m: int) -> list[str]:
 def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
     """Render column chunks (see ``_chunks``) as CSV (header first) or JSON lines.
 
-    For ints, t from position, the row template writes the bytes of ``csv.writer``,
-    or of ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
+    For ints, t from position, the rows are the bytes of ``csv.writer``, or of
+    ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
     Each chunk is checked as the materialized table is before it is rendered: its
     cells by ``CellAssignment``, then each count column's steps, carried on from
-    the chunk before, by ``CumulativeSequence``; each text column is rendered
-    from the pool and indices of the column checked.
+    the chunk before, by ``CumulativeSequence``.  ``freq_seq._numbered`` writes t
+    into the row pattern, filled from each column's pool rendered once by ``str``.
     """
     if fmt == "csv":
         yield ",".join(_header(m)) + "\n"
-        sep, template = ",", ",".join(["%s"] * (m + 2)) + "\n"
+        pattern = "k" + ",%s" * (m + 1) + "\n"
     else:
-        sep, template = ", ", ('{"trial": %s, "cell": %s, "counts": ['
-                               + ", ".join(["%s"] * m) + "]}\n")
-    forms = template.split(sep)  # a row is sep.join of its fields' forms: template % row
+        pattern = '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
     done, ends = 0, [0] * m  # the count columns' last terms so far
     for chunk in chunks:
         ints, idx = chunk[0]
@@ -304,12 +302,10 @@ def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
         _check_cells(list(map(ints.__getitem__, idx)), m, start)
         ends = [check_steps(list(map(ints.__getitem__, idx)), end, start)
                 for (ints, idx), end in zip(chunk[1:], ends)]
-        texts = [map(forms[0].__mod__, range(start + 1, done + 1))]
-        texts += [map(list(map(form.__mod__, ints)).__getitem__, idx)
-                  for form, (ints, idx) in zip(forms[1:], chunk)]
-        del chunk, ints, idx  # join the rows without the pools, and read on without them
-        text = "".join(map(sep.join, zip(*texts, strict=True)))
-        del texts
+        rows = zip(*[map(list(map(str, ints)).__getitem__, idx) for ints, idx in chunk], strict=True)
+        del chunk, ints, idx  # fill the rows without the int pools, and read on without them
+        text = freq_seq._numbered(start + 1, done + 1, pattern) % tuple(chain.from_iterable(rows))
+        del rows
         yield text
         del text
 
@@ -317,8 +313,10 @@ def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
     """CSV with columns t, assigned_cell, a_1, ..., a_m: ``cell_chunks`` of the table."""
     columns, size = [assignment.entries, *(seq.terms for seq in sequences)], freq_seq.ROWS_PER_CHUNK
-    chunks = ([(c[lo:lo + size], range(min(size, len(c) - lo))) for c in columns]
-              for lo in range(0, max(map(len, columns)), size))
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("cell sequences must share one length")
+    chunks = ([(c[lo:lo + size], range(min(size, len(assignment) - lo))) for c in columns]
+              for lo in range(0, len(assignment), size))
     return "".join(cell_chunks(chunks, len(sequences), "csv"))
 
 

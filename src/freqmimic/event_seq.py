@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .closure_ops import SourceConditionalOperator, realize
 from .freq_seq import CumulativeSequence, canonical_prefix, canonical_terms, checked_chunks
-from .freq_seq import scan_bits
+from .freq_seq import _numbered, scan_bits
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 
@@ -119,8 +119,12 @@ def realize_trace(p: Fraction | int, n: int) -> LabeledEventSequence:
     return LabeledEventSequence(tuple(ordered))
 
 
-_TOKENS = ("E'_%d", "E_%d")  # str(non_event(j)), str(event(j)), by outcome bit
-_JSON_TRIALS = ('{"trial": %d, "event": false}', '{"trial": %d, "event": true}')
+# realize's parts: the head, one trial's pattern (separator first), its fills by bit
+_PARTS = {
+    "csv": (("", " %s_k", ("E'", "E")), ("\nC({", ",%s_k", ("E'", "E"))),
+    "json": (('{"trials": [', ', {"trial": k, "event": %s}', ("false", "true")),
+             ('], "operator": "C({', ",%s_k", ("E'", "E"))),
+}
 
 
 def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
@@ -130,8 +134,8 @@ def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
     ``E'_1 E_2 ...`` and the operator ``C({E'_1,E_2,...},{G})``, whose
     attachments sort by label because each label carries one outcome.  So
     each part is rendered from its own pass of ``canonical_terms(p, n)`` in
-    ``checked_chunks``, trial numbers taken from position, and the text
-    equals ``realize_trace(p, n).text()`` and
+    ``checked_chunks`` by ``freq_seq._numbered``, trial numbers taken from
+    position, and the text equals ``realize_trace(p, n).text()`` and
     ``canonical_form(trace_operator(p, n))`` on two lines, or ``json.dumps``
     of ``{"trials": rows, "operator": form}`` on one.  The arguments are
     checked here, before the first chunk.
@@ -141,19 +145,14 @@ def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
 
 
 def _trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
-    if fmt == "csv":
-        parts = (("", _TOKENS, " "), ("\nC({", _TOKENS, ","))
-    else:
-        parts = (('{"trials": [', _JSON_TRIALS, ", "), ('], "operator": "C({', _TOKENS, ","))
-    for head, templates, sep in parts:
+    for head, pattern, labels in _PARTS[fmt]:
         yield head
-        lead, prev, done = "", 0, 0
+        prev, done = 0, 0
         for chunk in checked_chunks(canonical_terms(p, n)):
-            bits = map(sub, chunk, itertools.chain((prev,), chunk))
-            trials = range(done + 1, done + len(chunk) + 1)
-            text = lead + sep.join(map(str.__mod__, map(templates.__getitem__, bits), trials))
-            lead, prev, done = sep, chunk[-1], done + len(chunk)
-            del chunk, bits  # build the next chunk without this one
-            yield text
+            values = map(labels.__getitem__, map(sub, chunk, itertools.chain((prev,), chunk)))
+            lo, prev, done = done + 1, chunk[-1], done + len(chunk)
+            text = _numbered(lo, done + 1, pattern) % tuple(values)
+            del chunk, values  # build the next chunk without this one
+            yield text.lstrip(", ") if lo == 1 else text  # no separator before trial 1
             del text
     yield "},{G})\n" if fmt == "csv" else '},{G})"}\n'

@@ -255,6 +255,17 @@ def test_greedy_counts_stay_within_the_documented_bounds(weights, n):
     assert -min(gaps, default=0) <= (m - 1) * (1 - F(1, m))
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.fractions(min_value=0, max_value=1, max_denominator=60))
+@example(p=F(1, 2))  # trial 1 ties, and the lower cell takes it
+def test_two_cell_greedy_counts_round_t_times_p_half_up(p):
+    # for m = 2 the first count is floor(t*p + 1/2): the mechanical word with
+    # intercept 1/2, not the floor(t*p) word of ``canonical_counts``
+    num, den = p.numerator, p.denominator
+    _, (first, _) = build_cell_sequences([p, 1 - p], 3 * den + 5)
+    assert first.terms == tuple((2 * t * num + den) // (2 * den) for t in range(1, 3 * den + 6))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     weights=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8).filter(any),
@@ -398,6 +409,20 @@ def test_cell_csv_round_trip():
     back_assignment, back_sequences = cell_table_from_csv(text)
     assert back_assignment == assignment
     assert back_sequences == sequences
+
+
+def test_cell_csv_rejects_columns_of_unequal_length():
+    assignment, (first, second, third) = build_cell_sequences(QUARTERS, 6)
+    shorter = CumulativeSequence(second.terms[:-1])
+    longer = CumulativeSequence(second.terms + second.terms[-1:])
+    tables = [
+        (assignment, [first, shorter, third]),
+        (assignment, [first, longer, third]),
+        (CellAssignment(assignment.entries + (1,), 3), [first, second, third]),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError, match="^cell sequences must share one length$"):
+            cell_csv(*table)
 
 
 def test_cell_table_from_csv_rejects_corruption():

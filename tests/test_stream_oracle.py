@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import subprocess
 import sys
 import time
@@ -451,7 +452,29 @@ def test_nonconvergent_phases_match_the_per_trial_loop(bounds, n):
 _NUMBERED_EDGES = sorted({x + d for x in (0, 99, 100, 101, 199, 200, 10_000) for d in range(-2, 3)})
 
 
-@pytest.mark.parametrize("pattern", [*freq_seq._ROWS.values(), "k,k\n"])
+def _writer_patterns():
+    """Every pattern the streamed writers pass to ``_numbered``: the sequence rows,
+    the cell rows for m = 1, 3 and 10, and the trace's trials."""
+    seen, numbered = set(), freq_seq._numbered
+
+    def spy(lo, hi, pattern):
+        seen.add(pattern)
+        return numbered(lo, hi, pattern)
+
+    with mock.patch.object(freq_seq, "_numbered", spy), \
+            mock.patch.object(event_seq, "_numbered", spy):
+        for fmt in ("csv", "json"):
+            "".join(sequence_chunks([0, 1], fmt))
+            for m in (1, 3, 10):
+                "".join(cell_dist.cell_chunks(cell_dist.cell_column_chunks([F(1, m)] * m, 2), m, fmt))
+            "".join(event_seq.trace_chunks(F(1, 2), 2, fmt))
+    return sorted(seen)
+
+
+_WRITER_PATTERNS = _writer_patterns()
+
+
+@pytest.mark.parametrize("pattern", [*_WRITER_PATTERNS, "k,k\n"])
 def test_numbered_matches_naive_rows(pattern):
     first = _NUMBERED_EDGES[0]
     naive = [pattern.replace("k", str(k)) for k in range(first, _NUMBERED_EDGES[-1])]
@@ -459,6 +482,16 @@ def test_numbered_matches_naive_rows(pattern):
         for hi in _NUMBERED_EDGES:
             expected = "".join(naive[lo - first:hi - first]) if lo < hi else ""
             assert freq_seq._numbered(lo, hi, pattern) == expected, (lo, hi)
+
+
+def test_writer_patterns_have_no_letter_k_but_their_number_slots():
+    # _numbered writes the row number over every letter k, so a k in a key or a
+    # label would be overwritten: each k must stand alone, and the rows have one
+    # number (two in the sequence rows, whose frequency is a(k)/k)
+    assert len(_WRITER_PATTERNS) == 2 + 6 + 3
+    for pattern in _WRITER_PATTERNS:
+        assert re.findall(r"[A-Za-z]*k[A-Za-z]*", pattern) == ["k"] * pattern.count("k"), pattern
+        assert pattern.count("k") == (2 if pattern in freq_seq._ROWS.values() else 1), pattern
 
 
 @settings(max_examples=200, deadline=None)
@@ -1039,9 +1072,17 @@ def test_trace_chunks_checks_arguments_when_called():
 
 
 def test_trace_tokens_render_the_statements():
-    for j in (1, 2, 9, 10, 16385, 10**12):
-        assert event_seq._TOKENS[1] % j == str(event(j))
-        assert event_seq._TOKENS[0] % j == str(non_event(j))
+    # each part's pattern, filled by outcome bit, is its separator and then the
+    # statement (or the JSON trial) for trial j
+    for _, pattern, labels in [*event_seq._PARTS["csv"], *event_seq._PARTS["json"]]:
+        sep = pattern[:len(pattern) - len(pattern.lstrip(", "))]
+        for j in (1, 9, 10, 99, 100, 101, 16385, 10**12):
+            if "trial" in pattern:
+                expected = [json.dumps({"trial": j, "event": bit}) for bit in (False, True)]
+            else:
+                expected = [str(non_event(j)), str(event(j))]
+            got = [freq_seq._numbered(j, j + 1, pattern) % label for label in labels]
+            assert got == [sep + text for text in expected], (pattern, j)
 
 
 @settings(max_examples=100, deadline=None)
