@@ -170,11 +170,13 @@ class CellTableReport:
 
 
 def _columns(sequences: Sequence, probs: Sequence[Fraction]) -> tuple[list[tuple], int, list[int]]:
-    """The cell columns as term tuples, one per cell, and the integer shares."""
+    """The cell columns as term tuples of one length, one per cell, and the integer shares."""
     _, den, nums = _shares(probs)
     tables = [s.terms if isinstance(s, CumulativeSequence) else tuple(s) for s in sequences]
     if len(tables) != len(nums):
         raise ValueError("one sequence per cell is required")
+    if len(set(map(len, tables))) > 1:
+        raise ValueError("cell sequences must share one length")
     return tables, den, nums
 
 
@@ -188,8 +190,6 @@ def validate_cell_table(
     can be diagnosed rather than rejected at construction.
     """
     tables, _, _ = _columns(sequences, probs)
-    if len({len(t) for t in tables}) > 1:
-        raise ValueError("cell sequences must share one length")
     membership = all(check_cumulative_form(t).ok for t in tables)
     conservation = list(map(sum, zip(*tables))) == list(range(1, len(tables[0]) + 1))
     # With integer counts stepping by 0 or 1 in every column, a row sum
@@ -322,7 +322,7 @@ def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
     """Parse ``cell_csv`` output back; each row must be m + 2 integers, the first t."""
-    # Imported here so that ``import freqmimic`` does not load csv.
+    # Imported here so that importing this module does not load csv.
     import csv
     import io
 

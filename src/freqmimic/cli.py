@@ -10,18 +10,18 @@ and trial number through one renderer, ``freq_seq._numbered``.  compare
 takes the designed stream's counts from their closed form and counts the
 generated stream in packed chunks as it is drawn.  So memory does not grow
 with --n; flags are checked before the first row.
+Each verb imports only the modules it runs.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant
-check finds a counterexample (check-axioms names it on stderr).
+check finds a counterexample (check-axioms names it on stderr), 141 when the
+reader closes stdout early (128 + SIGPIPE, nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import Sequence
-
-from . import cell_dist, closure_ops, event_seq, freq_seq, language_core, stats_harness
 
 _AXIOM_FIELDS = (
     ("extensive-idempotent", "extensive_idempotent"),
@@ -100,6 +100,7 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_seq(args: argparse.Namespace) -> int:
+    from . import freq_seq
     p = freq_seq.parse_probability(args.p)
     terms = freq_seq.canonical_terms(p, args.n, args.m)
     sys.stdout.writelines(freq_seq.sequence_chunks(terms, args.format))
@@ -107,6 +108,7 @@ def _cmd_gen_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
+    from . import freq_seq
     low = freq_seq.parse_probability(args.low)
     high = freq_seq.parse_probability(args.high)
     terms = freq_seq.nonconvergent_terms(low, high, args.n)
@@ -115,6 +117,7 @@ def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_dist(args: argparse.Namespace) -> int:
+    from . import cell_dist
     probs = cell_dist.parse_probability_vector(args.probs)
     chunks = cell_dist.cell_column_chunks(probs, args.n)
     sys.stdout.writelines(cell_dist.cell_chunks(chunks, len(probs), args.format))
@@ -122,12 +125,14 @@ def _cmd_gen_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from . import event_seq, freq_seq
     p = freq_seq.parse_probability(args.p)
     sys.stdout.writelines(event_seq.trace_chunks(p, args.n, args.format))
     return 0
 
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
+    from . import closure_ops, language_core
     if args.family and args.self_maps:
         raise ValueError("choose one of --family or --self-maps")
     if args.self_maps:
@@ -155,8 +160,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 
 def _print_witnesses(failing: list, total: int) -> None:
     """On stderr: each failing axiom's first operator and counterexample, and operators per size."""
+    from .closure_ops import render_statement_set as render
     sizes = [(i + 2).bit_length() - 1 for i in range(total)]  # size s holds the next 2**s
-    render = closure_ops.render_statement_set
     for name, field in _AXIOM_FIELDS:
         for i, attachments, report in failing:
             if not getattr(report, field):
@@ -169,12 +174,14 @@ def _print_witnesses(failing: list, total: int) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import freq_seq, stats_harness
     p = freq_seq.parse_probability(args.p)
     designed = stats_harness.canonical_counts(p, args.n)
     reports = stats_harness.compare(designed, p, args.seed, args.alpha)
     if args.format == "csv":
         sys.stdout.write(stats_harness.reports_csv(reports))
     else:
+        import json
         for report in reports:
             print(json.dumps(report.as_json_dict()))
     return 0
@@ -194,7 +201,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args)
+        code = _HANDLERS[args.verb](args)
+        sys.stdout.flush()  # a closed pipe then raises here, not in the interpreter's last flush
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

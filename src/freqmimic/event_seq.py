@@ -14,20 +14,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .closure_ops import SourceConditionalOperator, realize
 from .freq_seq import CumulativeSequence, canonical_prefix, canonical_terms, checked_chunks
 from .freq_seq import _numbered, scan_bits
 from .language_core import Statement, StatementKind, event, non_event, source_statement
-
-
-def count_ones(bits: Sequence[int]) -> int:
-    """The 1s in ``bits``; the first entry not 0 or 1 raises, naming its trial."""
-    ones, bad = scan_bits(bits)
-    if bad is not None:
-        raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
-    return ones
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,9 @@ class BinaryTrialSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(self.bits))
-        count_ones(self.bits)
+        _, bad = scan_bits(self.bits)
+        if bad is not None:
+            raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -357,7 +357,7 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
 
 
 def _sequence_from_csv_slow(text: str) -> CumulativeSequence:
-    # Imported here so that ``import freqmimic`` does not load csv.
+    # Imported here so that importing this module does not load csv.
     import csv
     import io
 

@@ -46,7 +46,7 @@ class Statement:
         else:
             if self.label is None:
                 raise ValueError(f"{self.kind.value} statement requires a label")
-            if not isinstance(self.label, int) or self.label < 1:
+            if isinstance(self.label, bool) or not isinstance(self.label, int) or self.label < 1:
                 raise ValueError("statement labels are positive integers")
         # Hashed once: every set lookup in the operator layer hashes statements.
         # Equal to the dataclass hash((kind, label)), since an Enum member hashes
@@ -91,7 +91,7 @@ def statement_key(statement: Statement) -> tuple[int, int]:
 
 def tick_render(label: int) -> str:
     """Expand a label to its tally-mark string; label n renders as n ticks."""
-    if not isinstance(label, int) or label < 1:
+    if isinstance(label, bool) or not isinstance(label, int) or label < 1:
         raise ValueError("tick labels are positive integers")
     return TICK * label
 

@@ -269,6 +269,8 @@ def chi_square_cells(
     of freedom 1 through 10.
     """
     counts = list(counts)
+    if not all(isinstance(c, int) and c >= 0 for c in counts):
+        raise ValueError("cell counts must be non-negative integers")
     probs = [Fraction(p) for p in probs]
     if len(counts) != len(probs):
         raise ValueError("one count per cell is required")

@@ -215,6 +215,8 @@ def oracle_discrepancy(sequences, probs):
     _, den, nums = _shares(probs)
     if len(tables) != len(nums):
         raise ValueError("one sequence per cell is required")
+    if len({len(t) for t in tables}) > 1:
+        raise ValueError("cell sequences must share one length")
     worst = 0
     for k, table in enumerate(tables):
         for t, a in enumerate(table, 1):
@@ -228,6 +230,11 @@ def test_discrepancy_values():
     assert discrepancy(FIXTURE, FIXTURE_PROBS) == 1
     _, sequences = build_cell_sequences(QUARTERS, 6)
     assert discrepancy(sequences, QUARTERS) == F(1, 2)
+
+
+def test_discrepancy_rejects_unequal_column_lengths():
+    with pytest.raises(ValueError, match="cell sequences must share one length"):
+        discrepancy([[0, 1, 1], [1]], (F(1, 2), F(1, 2)))
 
 
 @pytest.mark.parametrize("weights, worst", [

@@ -30,12 +30,55 @@ def run_cli(*argv):
     )
 
 
+REALIZE_MODULES = ["cli", "closure_ops", "event_seq", "freq_seq", "language_core"]
+MODULE_LOADS = [
+    ((), [], []),
+    (("gen-seq", "--p", "1/3", "--n", "5"), ["cli", "freq_seq"], ["argparse"]),
+    (("gen-seq", "--p", "1/3", "--n", "5", "--format", "json"), ["cli", "freq_seq"], ["argparse"]),
+    (("gen-nonconv", "--low", "1/3", "--high", "1/2", "--n", "5"), ["cli", "freq_seq"],
+     ["argparse"]),
+    (("check-axioms", "--family", "--language-size", "3"), ["cli", "closure_ops", "language_core"],
+     ["argparse"]),
+    (("check-axioms", "--self-maps"), ["cli", "closure_ops", "language_core"], ["argparse"]),
+    (("gen-dist", "--probs", "1/4,3/4", "--n", "5"),
+     ["cell_dist", "cli", "closure_ops", "freq_seq", "language_core"], ["argparse"]),
+    (("realize", "--p", "1/2", "--n", "5", "--format", "json"), REALIZE_MODULES, ["argparse"]),
+    (("compare", "--p", "1/2", "--n", "100"), REALIZE_MODULES + ["stats_harness"], ["argparse"]),
+    (("compare", "--p", "1/2", "--n", "100", "--format", "json"),
+     REALIZE_MODULES + ["stats_harness"], ["argparse", "json"]),
+]
+
+
 def test_import_loads_no_serialization_or_cli_modules():
-    """``import freqmimic`` leaves csv, json and argparse to the code paths that use them."""
-    probe = "import sys, freqmimic; print(sorted({'csv', 'json', 'argparse'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    """``import freqmimic`` loads none of its modules, and each verb loads only the ones it runs.
+
+    csv, json and argparse are left to the code paths that use them.
+    """
+    probe = (
+        "import sys, freqmimic\n"
+        "if sys.argv[1:]:\n"
+        "    from freqmimic.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "package = sorted(m[len('freqmimic.'):] for m in sys.modules if m.startswith('freqmimic.'))\n"
+        "print(package, sorted({'csv', 'json', 'argparse'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    for argv, modules, stdlib in MODULE_LOADS:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"{modules} {stdlib}\n", argv
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freqmimic", "gen-seq", "--p", "1/3", "--n", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,a_n,freq_num,freq_den\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_gen_seq_csv_golden():

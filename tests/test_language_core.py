@@ -37,6 +37,9 @@ def test_statement_validation():
         Statement(StatementKind.EVENT, 0)
     with pytest.raises(ValueError):
         Statement(StatementKind.NON_EVENT, -2)
+    for label in (True, False):
+        with pytest.raises(ValueError, match="statement labels are positive integers"):
+            Statement(StatementKind.EVENT, label)
 
 
 def test_statement_sort_order():
@@ -55,6 +58,8 @@ def test_tick_render_rejects_bad_labels():
         tick_render(0)
     with pytest.raises(ValueError):
         tick_render(-1)
+    with pytest.raises(ValueError, match="tick labels are positive integers"):
+        tick_render(True)
 
 
 @given(st.integers(min_value=1, max_value=10_000))

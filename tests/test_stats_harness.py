@@ -178,6 +178,9 @@ def test_chi_square_rejects_bad_tables():
         chi_square_cells((1, 0), 1, probs, 0.05)  # expected counts below 1
     with pytest.raises(ValueError):
         chi_square_cells(tuple([1] * 12), 12, tuple([F(1, 12)] * 12), 0.05)
+    for counts in ((-1, 31), (14.5, 15.5)):
+        with pytest.raises(ValueError, match="cell counts must be non-negative integers"):
+            chi_square_cells(counts, 30, probs, 0.01)
 
 
 def test_compare_orders_and_tags_reports():

@@ -1174,6 +1174,9 @@ class _Sink:
         for line in lines:
             self.write(line)
 
+    def flush(self):
+        pass
+
 
 def _peak_bytes(argv):
     sink = _Sink()
