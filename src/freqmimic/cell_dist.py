@@ -19,14 +19,14 @@ coordinatewise product of per-cell source-conditional operators.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
-from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, eq, itemgetter, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import freq_seq
-from .closure_ops import SourceConditionalOperator, realize_product
 from .freq_seq import CumulativeSequence, check_cumulative_form, check_steps, parse_probability
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
@@ -123,8 +123,10 @@ def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) ->
 def _chunks(den: int, nums: list[int], n: int) -> Iterator[list]:
     """Rows 1..n of ``_greedy`` as column chunks: the cells, then a_1, ..., a_m,
     each a pair ``(ints, idx)`` standing for ``ints[i] for i in idx``.  One
-    checked period gives each chunk of whole periods the same indices into a
-    per-chunk pool; a period longer than a chunk gives the loop's columns."""
+    checked period gives every chunk of whole periods the same compact index
+    arrays into ``range`` pools of step 1, the cells' being ``range(m + 1)``, so
+    a count column's steps inside a chunk are the steps of its indices.  A
+    period longer than a chunk gives the loop's columns as tuples."""
     periods = min(freq_seq.ROWS_PER_CHUNK // den, -(-n // den))
     if not periods:
         rows = _greedy(den, nums, n)
@@ -136,15 +138,15 @@ def _chunks(den: int, nums: list[int], n: int) -> Iterator[list]:
     _, cells, *columns = zip(*_greedy(den, nums, den))
     if [column[-1] for column in columns] != nums:
         raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
-    size, places = periods * den, list(range(periods * den + 1))  # shared index ints
-    indices = [list(cells) * periods] + [
-        [places[a + q * num] for q in range(periods) for a in column]
+    size = periods * den
+    indices = [array("I", cells * periods)] + [
+        array("I", (a + q * num for q in range(periods) for a in column))
         for column, num in zip(columns, nums)]
     for start in range(0, n, size):
         q, rows = start // den, min(size, n - start)  # the counts enter at q*nums
-        pools = (list(range(q * num, (q + periods) * num + 1)) for num in nums)
+        pools = (range(q * num, (q + periods) * num + 1) for num in nums)
         yield [(pool, idx if rows == size else idx[:rows])
-               for pool, idx in zip(chain(([*range(len(nums) + 1)],), pools), indices)]
+               for pool, idx in zip(chain((range(len(nums) + 1),), pools), indices)]
 
 
 def build_cell_sequences(
@@ -263,6 +265,9 @@ def cell_operator_realization(
     greedy assignment, then realizes their product on all-source tuples.
     Must agree with ``trials_to_tuples`` on the same assignment.
     """
+    # Imported here so that gen-dist, which does not call this, does not load closure_ops.
+    from .closure_ops import SourceConditionalOperator, realize_product
+
     probs, den, nums = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
@@ -287,8 +292,13 @@ def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
     ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
     Each chunk is checked as the materialized table is before it is rendered: its
     cells by ``CellAssignment``, then each count column's steps, carried on from
-    the chunk before, by ``CumulativeSequence``.  ``freq_seq._numbered`` writes t
-    into the row pattern, filled from each column's pool rendered once by ``str``.
+    the chunk before, by ``CumulativeSequence``.  A tiled chunk (``_tiled``) whose
+    pool lengths and index arrays equal those of the last tiled chunk checked in
+    full differs from it only in where its count pools start: its cells and the
+    steps inside it are that chunk's, so only each count column's first step is
+    checked.
+    ``freq_seq._numbered`` writes t into the row pattern, filled by the chunk's
+    gather (``_gather``, kept with a tiled shape) over its pools rendered by ``str``.
     """
     if fmt == "csv":
         yield ",".join(_header(m)) + "\n"
@@ -296,18 +306,49 @@ def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
     else:
         pattern = '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
     done, ends = 0, [0] * m  # the count columns' last terms so far
+    shape = None  # the last tiled chunk checked in full: (pool lengths, index copies)
     for chunk in chunks:
-        ints, idx = chunk[0]
-        start, done = done, done + len(idx)
-        _check_cells(list(map(ints.__getitem__, idx)), m, start)
-        ends = [check_steps(list(map(ints.__getitem__, idx)), end, start)
-                for (ints, idx), end in zip(chunk[1:], ends)]
-        rows = zip(*[map(list(map(str, ints)).__getitem__, idx) for ints, idx in chunk], strict=True)
-        del chunk, ints, idx  # fill the rows without the int pools, and read on without them
-        text = freq_seq._numbered(start + 1, done + 1, pattern) % tuple(chain.from_iterable(rows))
-        del rows
+        start, done = done, done + len(chunk[0][1])
+        lens = [len(ints) for ints, _ in chunk]
+        if shape and lens == shape[0] and _tiled(chunk, m) and all(
+                map(eq, [idx for _, idx in chunk], shape[1])):
+            for first, end in zip([ints[idx[0]] for ints, idx in chunk[1:]], ends):
+                check_steps((first,), end, start)
+            ends = [ints[idx[-1]] for ints, idx in chunk[1:]]
+        else:
+            _check_cells(_terms(*chunk[0]), m, start)
+            ends = [check_steps(_terms(*pair), end, start) for pair, end in zip(chunk[1:], ends)]
+            shape = gather = None  # the last chunk's gather goes before this chunk's is built
+            gather = _gather(chunk, lens)
+            if _tiled(chunk, m) and done > start:  # copies of the index arrays: the chunk is not kept
+                shape = lens, [idx[:] for _, idx in chunk]
+        values = gather(list(map(str, chain.from_iterable(ints for ints, _ in chunk))))
+        del chunk  # fill the rows without the int pools, and read on without them
+        text = freq_seq._numbered(start + 1, done + 1, pattern) % values
+        del values
         yield text
         del text
+
+
+def _terms(ints: Sequence[int], idx: Iterable[int]) -> list[int]:
+    return list(map(ints.__getitem__, idx))
+
+
+def _tiled(chunk: list, m: int) -> bool:
+    """Whether a chunk is tiled as ``_chunks`` tiles it: every pool a ``range`` of
+    step 1, the cells' ``range(m + 1)``."""
+    pools = [ints for ints, _ in chunk]
+    return pools[0] == range(m + 1) and all(type(ints) is range and ints.step == 1 for ints in pools)
+
+
+def _gather(chunk: list, lens: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """One ``itemgetter`` that takes a checked chunk's values row by row from its
+    pools concatenated (none for a chunk without rows); the indices of a column
+    share one int per pool place."""
+    columns = [map(list(range(lo, lo + size)).__getitem__, idx)
+               for (_, idx), lo, size in zip(chunk, accumulate(lens, initial=0), lens)]
+    picks = [*chain.from_iterable(zip(*columns, strict=True))]
+    return itemgetter(*picks) if picks else lambda strings: ()
 
 
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:

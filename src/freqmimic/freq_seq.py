@@ -220,30 +220,31 @@ def nonconvergent_terms(low: Fraction, high: Fraction, n: int) -> Iterator[int]:
         raise ValueError("low bound must be strictly below high bound")
     if n < 1:
         raise ValueError("prefix length must be positive")
-    phases = _phases(low.numerator, low.denominator, high.numerator, high.denominator)
-    return islice(chain.from_iterable(phases), n)
+    phases = _phases(low.numerator, low.denominator, high.numerator, high.denominator, n)
+    return chain.from_iterable(phases)
 
 
-def _phases(low_num: int, low_den: int, high_num: int, high_den: int) -> Iterator[Iterable[int]]:
-    """The terms of ``nonconvergent_terms`` a whole phase at a time.
+def _phases(
+    low_num: int, low_den: int, high_num: int, high_den: int, n: int
+) -> Iterator[Iterable[int]]:
+    """The n terms of ``nonconvergent_terms`` a whole phase at a time.
 
     From a(k) = a, an up phase gives a + j - k at trial j and arrives at the
     first j > k with (a + j - k) * high_den >= j * high_num; a down phase
     gives a and arrives at the first j > k with a * low_den <= j * low_num.
+    Each phase is cut at trial n, so none is longer than the trials still wanted.
     """
     k, a = 1, 0
     yield (0,)
-    while True:
-        if high_num == high_den:  # high = 1 needs a >= k, and a < k
-            yield count(a + 1)
-            return
-        j = max(k + 1, -(-(k - a) * high_den // (high_den - high_num)))
+    while k < n:
+        # high = 1 needs a >= k, and a < k: the up phase does not arrive
+        up = n if high_num == high_den else -(-(k - a) * high_den // (high_den - high_num))
+        j = min(n, max(k + 1, up))
         yield range(a + 1, a + 1 + j - k)
         k, a = j, a + j - k
-        if low_num == 0:  # low = 0 needs a <= 0, and a >= 1 after an up phase
-            yield repeat(a)
-            return
-        j = max(k + 1, -(-a * low_den // low_num))
+        # low = 0 needs a <= 0, and a >= 1 after an up phase: the down phase does not arrive
+        down = n if low_num == 0 else -(-a * low_den // low_num)
+        j = min(n, max(k + 1, down))
         yield repeat(a, j - k)
         k = j
 

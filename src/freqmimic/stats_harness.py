@@ -229,7 +229,10 @@ def frequency_test(
     if p == 0 or p == 1:
         raise ValueError("frequency test needs 0 < p < 1")
     crit = _normal_critical(alpha)
-    z = float(x - n * p) / math.sqrt(float(n * p * (1 - p)))
+    variance = float(n * p * (1 - p))
+    if not variance:
+        raise ValueError("frequency test needs n*p*(1-p) above the smallest positive float")
+    z = float(x - n * p) / math.sqrt(variance)
     return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
 
 
@@ -271,7 +274,11 @@ def chi_square_cells(
     counts = list(counts)
     if not all(isinstance(c, int) and c >= 0 for c in counts):
         raise ValueError("cell counts must be non-negative integers")
+    if not isinstance(n, int):
+        raise ValueError("trial count must be an integer")
     probs = [Fraction(p) for p in probs]
+    if sum(probs) != 1:
+        raise ValueError("cell probabilities must sum to 1")
     if len(counts) != len(probs):
         raise ValueError("one count per cell is required")
     if len(counts) < 2:

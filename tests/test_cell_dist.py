@@ -263,6 +263,21 @@ def test_greedy_counts_stay_within_the_documented_bounds(weights, n):
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6).filter(any),
+    n=st.integers(min_value=0, max_value=10**4),
+)
+@example(weights=[3, 5, 11, 11, 1, 11], n=4 * 42 + 5)  # the 43/42 vector, past its period
+def test_discrepancy_of_n_rows_is_that_of_one_period(weights, n):
+    # every deficit repeats with period den, so rows past den add no new gap
+    probs, den, _ = _shares([F(w, sum(weights)) for w in weights])
+    n %= 4 * den + 6
+    _, rows = build_cell_sequences(probs, n)
+    _, period = build_cell_sequences(probs, min(n, den))
+    assert discrepancy(rows, probs) == discrepancy(period, probs)
+
+
+@settings(max_examples=200, deadline=None)
 @given(p=st.fractions(min_value=0, max_value=1, max_denominator=60))
 @example(p=F(1, 2))  # trial 1 ties, and the lower cell takes it
 def test_two_cell_greedy_counts_round_t_times_p_half_up(p):

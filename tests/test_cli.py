@@ -41,7 +41,7 @@ MODULE_LOADS = [
      ["argparse"]),
     (("check-axioms", "--self-maps"), ["cli", "closure_ops", "language_core"], ["argparse"]),
     (("gen-dist", "--probs", "1/4,3/4", "--n", "5"),
-     ["cell_dist", "cli", "closure_ops", "freq_seq", "language_core"], ["argparse"]),
+     ["cell_dist", "cli", "freq_seq", "language_core"], ["argparse"]),
     (("realize", "--p", "1/2", "--n", "5", "--format", "json"), REALIZE_MODULES, ["argparse"]),
     (("compare", "--p", "1/2", "--n", "100"), REALIZE_MODULES + ["stats_harness"], ["argparse"]),
     (("compare", "--p", "1/2", "--n", "100", "--format", "json"),
@@ -163,6 +163,24 @@ def test_gen_nonconv(capsys):
         "5,2,2,5",
         "6,2,2,6",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_nonconv_cuts_a_hold_phase_longer_than_any_count_at_n(capsys, fmt):
+    # at low = 1e-20 the first hold phase lasts about 1e20 trials, more than repeat() can count
+    assert main(["gen-nonconv", "--low", "1e-20", "--high", "1/2", "--n", "3", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    rows = {"csv": "n,a_n,freq_num,freq_den\n1,0,0,1\n2,1,1,2\n3,1,1,3\n",
+            "json": '{"n": 1, "a": 0, "freq": [0, 1]}\n{"n": 2, "a": 1, "freq": [1, 2]}\n'
+                    '{"n": 3, "a": 1, "freq": [1, 3]}\n'}
+    assert (out, err) == (rows[fmt], "")
+
+
+def test_compare_rejects_a_frequency_variance_that_underflows(capsys):
+    # n*p*(1-p) = 1e-328 is 0.0 as a float: a usage error, not a ZeroDivisionError
+    assert main(["compare", "--p", "1e-330", "--n", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: frequency test needs n*p*(1-p) above the smallest positive float\n")
 
 
 def test_gen_nonconv_rejects_inverted_bounds(capsys):

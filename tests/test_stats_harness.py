@@ -12,6 +12,7 @@ from freqmimic.stats_harness import (
     CHI_SQUARE_CRITICAL,
     NORMAL_CRITICAL,
     PRNG_VERSION,
+    BitCounts,
     TestReport,
     bernoulli_prng,
     chi_square_cells,
@@ -181,6 +182,16 @@ def test_chi_square_rejects_bad_tables():
     for counts in ((-1, 31), (14.5, 15.5)):
         with pytest.raises(ValueError, match="cell counts must be non-negative integers"):
             chi_square_cells(counts, 30, probs, 0.01)
+    with pytest.raises(ValueError, match="^cell probabilities must sum to 1$"):
+        chi_square_cells((15, 15), 30, (F(1, 2), F(2, 3)), 0.01)
+    with pytest.raises(ValueError, match="^trial count must be an integer$"):
+        chi_square_cells((15, 15), 30.0, probs, 0.01)
+
+
+def test_frequency_test_rejects_a_variance_that_underflows():
+    # n*p*(1-p) = 1e-328 is 0.0 as a float
+    with pytest.raises(ValueError, match="^frequency test needs n\\*p\\*\\(1-p\\) above"):
+        frequency_test(BitCounts(100, 0, 1), F(1, 10**330), 0.01)
 
 
 def test_compare_orders_and_tags_reports():

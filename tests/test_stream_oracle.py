@@ -10,6 +10,7 @@ reader and the one-pass counts must match them byte for byte, value for
 value, and error for error.
 """
 
+import array
 import collections
 import contextlib
 import csv
@@ -443,6 +444,8 @@ bound_pairs = st.one_of(
                 st.integers(min_value=1, max_value=3 * freq_seq.ROWS_PER_CHUNK + 5)),
 )
 @example(bounds=(F(1, 3), F(1, 2)), n=8)  # 0,1,1,2,2,2,3,4: every arrival is an equality
+@example(bounds=(F(1, 10**20), F(1, 2)), n=5)  # a hold phase of about 1e20 trials, cut at n
+@example(bounds=(F(0), F(10**20 - 1, 10**20)), n=5)  # an up phase as long
 def test_nonconvergent_phases_match_the_per_trial_loop(bounds, n):
     low, high = bounds
     expected = _oscillate(low.numerator, low.denominator, high.numerator, high.denominator, n)
@@ -1022,6 +1025,112 @@ def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fm
         injected = decoded_rows(cell_dist.cell_column_chunks(probs, n))
     assert injected == [row[1:] for row in rows]
     assert (code, err) == (2, f"error: {expected[1]}\n")
+
+
+def oracle_full_check_chunks(chunks, m, fmt):
+    """``cell_chunks`` as it was before tiled chunks were checked once per shape:
+    every chunk gets the full check, and its columns' strings are interleaved."""
+    if fmt == "csv":
+        yield ",".join(cell_dist._header(m)) + "\n"
+        pattern = "k" + ",%s" * (m + 1) + "\n"
+    else:
+        pattern = '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
+    done, ends = 0, [0] * m  # the count columns' last terms so far
+    for chunk in chunks:
+        ints, idx = chunk[0]
+        start, done = done, done + len(idx)
+        cell_dist._check_cells(list(map(ints.__getitem__, idx)), m, start)
+        ends = [freq_seq.check_steps(list(map(ints.__getitem__, idx)), end, start)
+                for (ints, idx), end in zip(chunk[1:], ends)]
+        rows = zip(*[map(list(map(str, ints)).__getitem__, idx) for ints, idx in chunk], strict=True)
+        del chunk, ints, idx  # fill the rows without the int pools, and read on without them
+        text = freq_seq._numbered(start + 1, done + 1, pattern) % tuple(itertools.chain.from_iterable(rows))
+        del rows
+        yield text
+        del text
+
+
+def planted(chunks, at, fault, column, pos, delta):
+    """The column chunks with one fault in chunk ``at``, column ``column``
+    (0 is the cells): a changed index, one index more or fewer, a shifted pool,
+    a pool of another length or of step 2.  Chunks share their index arrays, so a
+    changed one is a copy."""
+    for i, chunk in enumerate(chunks):
+        if i == at:
+            chunk = list(chunk)
+            ints, idx = chunk[column]
+            if fault == "index":
+                idx = array.array("I", idx)
+                idx[pos % len(idx)] = max(0, idx[pos % len(idx)] + delta)
+            elif fault == "index count":  # a repeated last index keeps every step
+                idx = array.array("I", idx[:-1] if delta < 0 else [*idx, idx[-1]])
+            elif fault == "pool start":
+                ints = range(ints.start + delta, ints.stop + delta)
+            elif fault == "pool length":
+                ints = range(ints.start, max(ints.start, ints.stop + delta))
+            else:
+                ints = range(ints.start, ints.start + 2 * len(ints), 2)
+            chunk[column] = (ints, idx)
+        yield chunk
+
+
+def texts_and_error(stream):
+    """The texts a stream yields up to its error, and that error's type and message."""
+    texts = []
+    try:
+        texts.extend(stream)
+    except (ValueError, IndexError) as exc:
+        return texts, (type(exc), str(exc))
+    return texts, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=cell_weights,
+    periods=st.integers(min_value=1, max_value=3),
+    chunks=st.integers(min_value=2, max_value=5),
+    short=st.integers(min_value=0, max_value=9),
+    fault=st.sampled_from(["index", "index count", "pool start", "pool length", "pool step"]),
+    at=st.integers(min_value=1, max_value=4),
+    column=st.integers(min_value=0, max_value=6),
+    pos=st.integers(min_value=0, max_value=10**4),
+    delta=st.sampled_from([-2, -1, 1, 2]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="pool start", at=2, column=3,
+         pos=0, delta=1, fmt="csv")  # a junction step of 2 in the last full chunk
+@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="pool start", at=1, column=0,
+         pos=0, delta=-1, fmt="json")  # cells read from range(-1, 3): a cell of 0
+@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="index count", at=3, column=2,
+         pos=0, delta=1, fmt="csv")  # the first chunk's a_2 one index longer than its cells: ValueError
+@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="index count", at=3, column=1,
+         pos=0, delta=-1, fmt="json")  # and its a_1 one shorter
+def test_tiled_chunks_checked_once_fail_as_the_full_check(
+    weights, periods, chunks, short, fault, at, column, pos, delta, fmt
+):
+    # Real tiled chunks of ``chunks`` full chunks and a short one, with a fault
+    # planted in a later chunk: the check-once path writes the same texts and
+    # raises the same error, at the same row, as the full check of every chunk.
+    probs = [F(w, sum(weights)) for w in weights]
+    m = len(probs)
+    den = math.lcm(*(p.denominator for p in probs))
+    n = chunks * periods * den + short % den
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", periods * den):
+        tiles = list(cell_dist.cell_column_chunks(probs, n))
+    fault_at = (at % len(tiles), fault, column % (m + 1), pos, delta)
+    expected = texts_and_error(oracle_full_check_chunks(planted(tiles, *fault_at), m, fmt))
+    assert texts_and_error(cell_dist.cell_chunks(planted(tiles, *fault_at), m, fmt)) == expected
+
+
+@pytest.mark.parametrize("n", [6 * 6 * 5, 6 * 6 * 5 + 4])
+def test_tiled_chunks_get_the_full_check_once_per_shape(n):
+    # 1/6,1/3,1/2 with 36-row chunks: five full chunks, then a short one or none
+    probs, check = [F(1, 6), F(1, 3), F(1, 2)], cell_dist._check_cells
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 36), \
+            mock.patch.object(cell_dist, "_check_cells", wraps=check) as spy:
+        got = "".join(cell_dist.cell_chunks(cell_dist.cell_column_chunks(probs, n), 3, "csv"))
+    assert got == old_cell_writer(loop_rows(probs, n), 3, "csv")
+    assert spy.call_count == (1 if n % 36 == 0 else 2)
 
 
 @settings(max_examples=40, deadline=None)
