@@ -189,10 +189,15 @@ def validate_cell_table(
     """Check a per-cell count table against the joint bookkeeping rules.
 
     Accepts raw term lists as well, so tables that violate the constraints
-    can be diagnosed rather than rejected at construction.
+    can be diagnosed rather than rejected at construction.  Only those are
+    scanned for unit steps: a ``CumulativeSequence`` was checked when built.
     """
+    sequences = list(sequences)
     tables, _, _ = _columns(sequences, probs)
-    membership = all(check_cumulative_form(t).ok for t in tables)
+    membership = all(
+        isinstance(s, CumulativeSequence) or check_cumulative_form(t).ok
+        for s, t in zip(sequences, tables)
+    )
     conservation = list(map(sum, zip(*tables))) == list(range(1, len(tables[0]) + 1))
     # With integer counts stepping by 0 or 1 in every column, a row sum
     # stepping by 1 means exactly one column stepped: one-hot is membership

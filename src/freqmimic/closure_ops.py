@@ -6,7 +6,10 @@ containing the source and leaves every other premise set alone.  For
 brute-force work (axiom checking, lattice joins, finite products) any
 operator can be tabulated into an ``ExtensionalOperator``, a total map on
 the power set of a small carrier.  Carrier elements are statements, or
-statement tuples for product operators.
+statement tuples for product operators.  Tabulation runs on masks: every
+image is computed as a bitmask over the carrier's power set, and each key
+and value is the power set's own frozenset, built once.  The axiom checks,
+joins and the family sweep read tables as masks too.
 
 Axiom vocabulary: an operator is a closure operator when it is extensive
 (``Y`` is contained in its image), idempotent, bounded by the carrier,
@@ -131,7 +134,7 @@ class ExtensionalOperator:
         return self.table[frozenset(subset)]
 
 
-def _power_set(elements: Iterable) -> tuple[list[frozenset], list[int]]:
+def _power_set(elements: Iterable) -> tuple[list[frozenset], tuple[int, ...]]:
     """Subsets indexed by bitmask, and the masks in size-then-rendering order.
 
     Bit ``i`` stands for the ``i``-th element in rendering order.  Subsets
@@ -143,11 +146,16 @@ def _power_set(elements: Iterable) -> tuple[list[frozenset], list[int]]:
     for element in ordered:
         single = frozenset((element,))
         subsets += [s | single for s in subsets]
-    bits = [1 << i for i in range(len(ordered))]
-    order = [
-        sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size)
-    ]
-    return subsets, order
+    # all_subsets is public and takes any size: only sizes within the cap are kept
+    size = len(ordered)
+    return subsets, (_size_order if size <= MAX_CARRIER else _size_order.__wrapped__)(size)
+
+
+@functools.cache
+def _size_order(size: int) -> tuple[int, ...]:
+    """The masks of ``size`` bits by size, then by the positions of their bits."""
+    bits = [1 << i for i in range(size)]
+    return tuple(sum(c) for k in range(size + 1) for c in itertools.combinations(bits, k))
 
 
 def all_subsets(elements: Iterable) -> list[frozenset]:
@@ -156,11 +164,33 @@ def all_subsets(elements: Iterable) -> list[frozenset]:
     return [subsets[m] for m in order]
 
 
-def _tabulate(carrier: frozenset, image, name: str, unit: str) -> ExtensionalOperator:
-    """Tabulate ``image`` over every subset of a carrier within the cap."""
+def _tabulate(
+    carrier: frozenset, ops: Sequence[SourceConditionalOperator], coordinates, name: str, unit: str
+) -> ExtensionalOperator:
+    """Tabulate the coordinatewise image of ``ops`` over every subset of a carrier, on masks.
+
+    ``coordinates(element)`` gives one statement per operator.  In factor
+    ``k`` a statement stands for its cylinder, the mask of the elements whose
+    coordinate ``k`` it is.  A subset's projection, built by doubling as in
+    ``_power_set``, is the union of its coordinates' cylinders and maps to
+    ``c | A if c & G else c``; intersecting the factors' images re-products them.
+    """
     if len(carrier) > MAX_CARRIER:
         raise CapacityError(f"{name} has {len(carrier)} {unit}, limit is {MAX_CARRIER}")
-    return ExtensionalOperator(carrier, {s: image(s) for s in all_subsets(carrier)})
+    subsets, order = _power_set(carrier)
+    coords = [coordinates(e) for e in sorted(carrier, key=render_element)]  # bit i: element i
+    image = [-1] * len(subsets)
+    for k, op in enumerate(ops):
+        cylinder = {}
+        for i, c in enumerate(coords):
+            cylinder[c[k]] = cylinder.get(c[k], 0) | 1 << i
+        projections = [0]
+        for c in coords:
+            bit = cylinder[c[k]]
+            projections += [p | bit for p in projections]
+        g, a = cylinder[op.source], sum(map(cylinder.get, op.attachments))  # disjoint cylinders
+        image = [m & (p | a if p & g else p) for m, p in zip(image, projections)]
+    return ExtensionalOperator(carrier, {subsets[m]: subsets[image[m]] for m in order})
 
 
 def extensionalize(op: SourceConditionalOperator, language: Language) -> ExtensionalOperator:
@@ -168,7 +198,7 @@ def extensionalize(op: SourceConditionalOperator, language: Language) -> Extensi
     carrier = frozenset(language.statements)
     if not (op.attachments | {op.source}) <= carrier:
         raise ValueError("operator statements must belong to the language")
-    return _tabulate(carrier, lambda subset: apply(op, subset), "language", "statements")
+    return _tabulate(carrier, [op], lambda s: (s,), "language", "statements")
 
 
 @dataclass(frozen=True)
@@ -193,7 +223,7 @@ class AxiomReport:
 
 def _mask_tables(
     *exts: ExtensionalOperator,
-) -> tuple[list[frozenset], list[int], list[list[int]]]:
+) -> tuple[list[frozenset], tuple[int, ...], list[list[int]]]:
     """``_power_set`` of the shared carrier, and each table as a list of masks."""
     subsets, order = _power_set(exts[0].carrier)
     index = {s: m for m, s in enumerate(subsets)}
@@ -220,7 +250,9 @@ def _lanes(s: int) -> tuple[struct.Struct, int, tuple[int, ...]]:
     return lanes, _packed(lanes, masks), tuple(_packed(lanes, k) for k in keep)
 
 
-def _axiom_report(subsets: list[frozenset], order: list[int], table: list[int]) -> AxiomReport:
+def _axiom_report(
+    subsets: list[frozenset], order: tuple[int, ...], table: list[int]
+) -> AxiomReport:
     """Verdicts from the table packed one mask per 16-bit lane; witnesses scan ``order``."""
     lanes, ident, keep = _lanes(len(table).bit_length() - 1)
     packed = meet = _packed(lanes, table)
@@ -348,4 +380,4 @@ def extensionalize_product(
             raise ValueError("operator statements must belong to their language")
     factors = [sorted(lang.statements, key=statement_key) for lang in languages]
     carrier = frozenset(itertools.product(*factors))
-    return _tabulate(carrier, lambda s: product_apply(ops, s), "tuple carrier", "elements")
+    return _tabulate(carrier, ops, tuple, "tuple carrier", "elements")

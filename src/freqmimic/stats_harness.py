@@ -215,6 +215,14 @@ class TestReport:
         return out
 
 
+def _float(value: Fraction | int, message: str) -> float:
+    """``float(value)``, or a ValueError with ``message`` where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
 def frequency_test(
     bits: BinaryTrialSequence | BitCounts,
     p: Fraction | int,
@@ -229,10 +237,11 @@ def frequency_test(
     if p == 0 or p == 1:
         raise ValueError("frequency test needs 0 < p < 1")
     crit = _normal_critical(alpha)
-    variance = float(n * p * (1 - p))
+    variance = _float(n * p * (1 - p), "frequency test needs n*p*(1-p) below the largest float")
     if not variance:
         raise ValueError("frequency test needs n*p*(1-p) above the smallest positive float")
-    z = float(x - n * p) / math.sqrt(variance)
+    z = _float(x - n * p, "frequency test needs |x - n*p| below the largest float")
+    z /= math.sqrt(variance)
     return TestReport("frequency", stream, z, alpha, abs(z) <= crit, n)
 
 
@@ -254,7 +263,8 @@ def runs_test(
     pairs = 2 * n0 * n1
     mean = Fraction(pairs, n) + 1
     variance = Fraction(pairs * (pairs - n), n * n * (n - 1))
-    z = float(runs - mean) / math.sqrt(float(variance))
+    spread = math.sqrt(_float(variance, "runs test needs a variance below the largest float"))
+    z = _float(runs - mean, "runs test needs |runs - mean| below the largest float") / spread
     return TestReport("runs", stream, z, alpha, abs(z) <= crit, n)
 
 

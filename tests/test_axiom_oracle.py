@@ -6,9 +6,11 @@ superset enumeration, finitary by submask unions), O(3^n) in the carrier
 size.  ``lub_extensional`` is checked against the original frozenset
 fixpoint, ``family_reports`` against tabulating each family operator and
 checking it, and ``monotonicity_implied`` against the original self-map
-enumeration.  ``_axiom_report``, which packs each table one mask per 16-bit
-lane, is checked against the scalar meet loop it replaced.  Every report,
-counterexample included, must match.
+enumeration.  ``extensionalize`` and ``extensionalize_product``, which
+tabulate on masks, are checked against the original per-subset tabulation:
+equal tables with the same key order.  ``_axiom_report``, which packs each
+table one mask per 16-bit lane, is checked against the scalar meet loop it
+replaced.  Every report, counterexample included, must match.
 """
 
 import functools
@@ -27,15 +29,18 @@ from freqmimic.closure_ops import (
     ExtensionalOperator,
     SourceConditionalOperator,
     all_subsets,
+    apply,
     check_axioms,
     extensionalize,
     extensionalize_product,
     family_reports,
     lub_extensional,
     monotonicity_implied,
+    product_apply,
     render_element,
 )
 from freqmimic.language_core import Language, event, non_event, prefix_language, source_statement
+from freqmimic.language_core import statement_key
 
 
 class _MaskView:
@@ -511,3 +516,116 @@ def test_high_image_tables_match_scalar_oracle(family, y):
     identity[y] |= _HIGH
     report = _assert_report_matches_oracle(MAX_CARRIER, identity)
     assert (report.extensive_idempotent, report.monotone) == (True, False)
+
+
+# The per-subset tabulation, kept verbatim as the oracle of the mask-native one.
+
+
+def oracle_tabulate(carrier: frozenset, image, name: str, unit: str) -> ExtensionalOperator:
+    """Tabulate ``image`` over every subset of a carrier within the cap."""
+    if len(carrier) > MAX_CARRIER:
+        raise CapacityError(f"{name} has {len(carrier)} {unit}, limit is {MAX_CARRIER}")
+    return ExtensionalOperator(carrier, {s: image(s) for s in all_subsets(carrier)})
+
+
+def oracle_extensionalize(op: SourceConditionalOperator, language: Language) -> ExtensionalOperator:
+    """Tabulate a family operator over the full power set of a language."""
+    carrier = frozenset(language.statements)
+    if not (op.attachments | {op.source}) <= carrier:
+        raise ValueError("operator statements must belong to the language")
+    return oracle_tabulate(carrier, lambda subset: apply(op, subset), "language", "statements")
+
+
+def oracle_extensionalize_product(ops, languages) -> ExtensionalOperator:
+    """Tabulate a product operator over the tuple carrier L1 x ... x Lm."""
+    if not ops:
+        raise ValueError("product needs at least one factor")
+    if len(ops) != len(languages):
+        raise ValueError("one language per factor is required")
+    for op, language in zip(ops, languages):
+        if not (op.attachments | {op.source}) <= language.statements:
+            raise ValueError("operator statements must belong to their language")
+    factors = [sorted(lang.statements, key=statement_key) for lang in languages]
+    carrier = frozenset(itertools.product(*factors))
+    return oracle_tabulate(carrier, lambda s: product_apply(ops, s), "tuple carrier", "elements")
+
+
+_SHAPES = [
+    sizes
+    for k in (1, 2, 3)
+    for sizes in itertools.product(range(1, 5), repeat=k)
+    if functools.reduce(int.__mul__, sizes) <= MAX_CARRIER
+]
+
+
+@st.composite
+def _factor(draw, size: int) -> tuple[SourceConditionalOperator, Language]:
+    """A family operator on ``prefix_language(size)``: no attachments, some, or some with G."""
+    language = prefix_language(size)
+    statements = sorted(language.statements, key=statement_key)
+    kind = draw(st.sampled_from(["empty", "some", "with source"]))
+    attachments = set() if kind == "empty" else draw(st.sets(st.sampled_from(statements)))
+    if kind == "with source":
+        attachments.add(source_statement())
+    return SourceConditionalOperator(frozenset(attachments), source_statement()), language
+
+
+def _assert_same_table(got: ExtensionalOperator, expected: ExtensionalOperator) -> None:
+    assert got.carrier == expected.carrier
+    assert got.table == expected.table
+    assert list(got.table) == list(expected.table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SHAPES).flatmap(lambda sizes: st.tuples(*map(_factor, sizes))))
+def test_mask_tabulation_matches_per_subset_oracle(factors):
+    ops, languages = zip(*factors)
+    _assert_same_table(
+        extensionalize_product(ops, languages), oracle_extensionalize_product(ops, languages)
+    )
+    if len(ops) == 1:
+        _assert_same_table(
+            extensionalize(ops[0], languages[0]), oracle_extensionalize(ops[0], languages[0])
+        )
+
+
+def test_tabulators_check_arguments_before_tabulating(monkeypatch):
+    def no_tabulation(elements):
+        raise AssertionError("tabulated")
+
+    monkeypatch.setattr(closure_ops, "_power_set", no_tabulation)
+    G = source_statement()
+    language = prefix_language(4)
+    identity = SourceConditionalOperator(frozenset(), G)
+    foreign = SourceConditionalOperator(frozenset({event(MAX_CARRIER + 2)}), G)
+    cases = [
+        (lambda: extensionalize_product([identity] * 2, [language] * 2),
+         CapacityError, "tuple carrier has 16 elements, limit is 12"),
+        (lambda: extensionalize(identity, prefix_language(MAX_CARRIER + 1)),
+         CapacityError, "language has 13 statements, limit is 12"),
+        # membership is checked before size
+        (lambda: extensionalize_product([foreign] * 2, [language] * 2),
+         ValueError, "operator statements must belong to their language"),
+        (lambda: extensionalize(foreign, prefix_language(MAX_CARRIER + 1)),
+         ValueError, "operator statements must belong to the language"),
+        (lambda: extensionalize(foreign, language),
+         ValueError, "operator statements must belong to the language"),
+        (lambda: extensionalize_product([], []),
+         ValueError, "product needs at least one factor"),
+        (lambda: extensionalize_product([identity], [language] * 2),
+         ValueError, "one language per factor is required"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_size_order_is_kept_once_per_size_within_the_cap():
+    elements = sorted(prefix_language(MAX_CARRIER + 1).statements, key=render_element)
+    _, order = closure_ops._power_set(elements[:5])
+    assert isinstance(order, tuple)
+    assert closure_ops._power_set(elements[1:6])[1] is order
+    kept = closure_ops._size_order.cache_info().currsize
+    assert all_subsets(elements) == oracle_all_subsets(elements)  # 13 elements: over the cap
+    assert closure_ops._size_order.cache_info().currsize == kept

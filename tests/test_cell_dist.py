@@ -504,6 +504,40 @@ def test_one_pass_validator_matches_index_scan(case):
     assert outcome(lambda: validate_cell_table(table, probs)) == expected
 
 
+@settings(max_examples=400, deadline=None)
+@given(case=cell_tables(), data=st.data())
+def test_validator_trusts_built_columns_and_matches_the_full_rescan(case, data):
+    """Well-formed columns passed as ``CumulativeSequence``s are not scanned
+    again; the report, broken tables included, is that of the full re-scan."""
+    table, probs = case
+    wrap = st.booleans()
+    mixed = [
+        CumulativeSequence(column) if check_cumulative_form(column).ok and data.draw(wrap)
+        else column
+        for column in table
+    ]
+    expected = outcome(lambda: oracle_validate_cell_table(table, probs))
+    assert outcome(lambda: oracle_validate_cell_table(mixed, probs)) == expected
+    assert outcome(lambda: validate_cell_table(mixed, probs)) == expected
+    assert outcome(lambda: validate_cell_table(iter(mixed), probs)) == expected
+
+
+def test_validator_scans_raw_columns_only(monkeypatch):
+    from freqmimic import cell_dist
+
+    scanned = []
+    real = cell_dist.check_cumulative_form
+    monkeypatch.setattr(cell_dist, "check_cumulative_form",
+                        lambda terms: scanned.append(tuple(terms)) or real(terms))
+    built = [CumulativeSequence(column) for column in FIXTURE]
+    assert validate_cell_table(built, FIXTURE_PROBS).all_ok
+    assert scanned == []
+    raw = [built[0], [0, 2, 2, 2, 2, 3], built[2]]  # a raw column that jumps by 2
+    report = validate_cell_table(raw, FIXTURE_PROBS)
+    assert (report.membership, report.one_hot, report.conservation) == (False, False, False)
+    assert scanned == [(0, 2, 2, 2, 2, 3)]
+
+
 def _quarters_csv(n=3):
     return cell_csv(*build_cell_sequences(QUARTERS, n))
 

@@ -183,6 +183,13 @@ def test_compare_rejects_a_frequency_variance_that_underflows(capsys):
     assert (out, err) == ("", "error: frequency test needs n*p*(1-p) above the smallest positive float\n")
 
 
+def test_compare_rejects_a_frequency_variance_that_overflows(capsys):
+    # n*p*(1-p) = 10**400 / 4 is past the largest float: a usage error, not an OverflowError
+    assert main(["compare", "--p", "1/2", "--n", str(10**400)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: frequency test needs n*p*(1-p) below the largest float\n")
+
+
 def test_gen_nonconv_rejects_inverted_bounds(capsys):
     assert main(["gen-nonconv", "--low", "1/2", "--high", "1/3",
                  "--n", "6"]) == 2

@@ -194,6 +194,26 @@ def test_frequency_test_rejects_a_variance_that_underflows():
         frequency_test(BitCounts(100, 0, 1), F(1, 10**330), 0.01)
 
 
+def test_frequency_test_rejects_floats_that_overflow():
+    # 10**400 / 4 and 10**310 are past the largest float: usage errors, not OverflowError
+    with pytest.raises(ValueError, match=r"^frequency test needs n\*p\*\(1-p\) below the largest float$"):
+        frequency_test(BitCounts(10**400, 10**400 // 2, 2), F(1, 2), 0.01)
+    with pytest.raises(ValueError, match=r"^frequency test needs \|x - n\*p\| below the largest float$"):
+        frequency_test(BitCounts(10**310, 10**310, 1), F(1, 10**20), 0.01)
+    # n*p = 10**290 and x - n*p = 0 convert: the statistic is 0
+    assert frequency_test(BitCounts(10**310, 10**290, 1), F(1, 10**20), 0.01).statistic == 0.0
+
+
+def test_runs_test_rejects_floats_that_overflow():
+    n = 10**400
+    with pytest.raises(ValueError, match="^runs test needs a variance below the largest float$"):
+        runs_test(BitCounts(n, n // 2, n // 2 + 1), 0.01)
+    # the variance, about n/4, converts; runs - mean, about n/2, does not
+    n = 4 * 10**308
+    with pytest.raises(ValueError, match=r"^runs test needs \|runs - mean\| below the largest float$"):
+        runs_test(BitCounts(n, n // 2, n), 0.01)
+
+
 def test_compare_orders_and_tags_reports():
     designed = to_binary(canonical_prefix(F(1, 2), 10**4))
     reports = compare(designed, F(1, 2), 42, 0.01)
