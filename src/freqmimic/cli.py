@@ -12,7 +12,8 @@ and trial number through one renderer, ``freq_seq._numbered``.  compare
 takes the designed stream's counts from their closed form and counts the
 generated stream in packed chunks as it is drawn.  So memory does not grow
 with --n; flags are checked before the first row.
-Each verb imports only the modules it runs.
+Each verb imports only the modules it runs: compare loads ``freq_seq`` and
+``stats_harness`` alone, and only check-axioms loads ``closure_ops``.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant
 check finds a counterexample (check-axioms names it on stderr), 141 when the
 reader closes stdout early (128 + SIGPIPE, nothing on stderr).
@@ -147,32 +148,28 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     size = 4 if args.language_size is None else args.language_size
-    reports, failing = [], []  # failing keeps its operators' attachments for the witnesses
-    for attachments, report in closure_ops.family_reports(size):
+    counts, failing = {}, []  # operators per language size; the failing ones, for the witnesses
+    for s, attachments, report in closure_ops.family_reports(size):
+        counts[s] = counts.get(s, 0) + 1
         if not report.all_ok:
-            failing.append((len(reports), attachments, report))
-        reports.append(report)
+            failing.append((s, attachments, report))
     for name, field in _AXIOM_FIELDS:
-        print(f"{name}: {'PASS' if all(getattr(r, field) for r in reports) else 'FAIL'}")
-    print(f"operators checked: {len(reports)}")
-    if failing:
-        _print_witnesses(failing, len(reports))
-    return 1 if failing else 0
-
-
-def _print_witnesses(failing: list, total: int) -> None:
-    """On stderr: each failing axiom's first operator and counterexample, and operators per size."""
-    from .closure_ops import render_statement_set as render
-    sizes = [(i + 2).bit_length() - 1 for i in range(total)]  # size s holds the next 2**s
+        print(f"{name}: {'FAIL' if any(not getattr(r, field) for *_, r in failing) else 'PASS'}")
+    print(f"operators checked: {sum(counts.values())}")
+    if not failing:
+        return 0
+    # On stderr: each failing axiom's first operator and counterexample, and operators per size.
+    render = closure_ops.render_statement_set
     for name, field in _AXIOM_FIELDS:
-        for i, attachments, report in failing:
+        for s, attachments, report in failing:
             if not getattr(report, field):
                 witness = ", ".join(map(render, report.counterexample))
                 print(f"{name}: counterexample {witness} for C({render(attachments)},{{G}})"
-                      f" on language size {sizes[i]}", file=sys.stderr)
+                      f" on language size {s}", file=sys.stderr)
                 break
-    counts = ", ".join(f"{s}: {sizes.count(s)}" for s in sorted(set(sizes)))
-    print(f"operators per language size: {counts}", file=sys.stderr)
+    per_size = ", ".join(f"{s}: {counts[s]}" for s in sorted(counts))
+    print(f"operators per language size: {per_size}", file=sys.stderr)
+    return 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -271,8 +271,8 @@ def _axiom_report(
     return AxiomReport(True, False, False, (subsets[bad], subsets[z]))
 
 
-def family_reports(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
-    """``(X, report)`` for every ``C(X,{G})`` on ``prefix_language(1..size)``, lazily.
+def family_reports(size: int) -> Iterator[tuple[int, frozenset[Statement], AxiomReport]]:
+    """``(s, X, report)`` for every ``C(X,{G})`` on ``prefix_language(s)``, s = 1..size, lazily.
 
     Sizes ascend and ``X`` follows ``all_subsets``; each report equals
     ``check_axioms(extensionalize(...))``, but each table is built as masks
@@ -285,13 +285,13 @@ def family_reports(size: int) -> Iterator[tuple[frozenset[Statement], AxiomRepor
     return _family_sweep(size)
 
 
-def _family_sweep(size: int) -> Iterator[tuple[frozenset[Statement], AxiomReport]]:
+def _family_sweep(size: int) -> Iterator[tuple[int, frozenset[Statement], AxiomReport]]:
     for s in range(1, size + 1):
         subsets, order = _power_set(prefix_language(s).statements)
         g = subsets.index(frozenset((source_statement(),)))  # G renders last: the top bit
         for a in order:
             table = [*range(g), *map(or_, range(g, 2 * g), itertools.repeat(a))]
-            yield subsets[a], _axiom_report(subsets, order, table)
+            yield s, subsets[a], _axiom_report(subsets, order, table)
 
 
 def monotonicity_implied(language: Language) -> bool:

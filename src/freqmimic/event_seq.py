@@ -1,11 +1,13 @@
 """Labeled trial outcomes and their source-conditional generators.
 
 A cumulative-success prefix determines one binary outcome per trial (its
-difference sequence), each trial gets a labeled statement (``E_j`` on
-success, ``E'_j`` otherwise), and the whole labeled prefix becomes the
-attachment set of a single source-conditional operator.  Realizing that
-operator on the bare source recovers exactly the labeled outcomes, and
-the operator itself is the join of the per-trial singleton operators.
+difference sequence, a ``freq_seq.BinaryTrialSequence``), each trial gets a
+labeled statement (``E_j`` on success, ``E'_j`` otherwise), and the whole
+labeled prefix becomes the attachment set of a single source-conditional
+operator.  Realizing that operator on the bare source recovers exactly the
+labeled outcomes, and the operator itself is the join of the per-trial
+singleton operators.  Only that route, ``trace_operator`` and
+``realize_trace``, loads ``closure_ops``.
 """
 
 from __future__ import annotations
@@ -14,35 +16,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .closure_ops import SourceConditionalOperator, realize
-from .freq_seq import CumulativeSequence, canonical_prefix, canonical_terms, checked_chunks
-from .freq_seq import _numbered, scan_bits
+from .freq_seq import BinaryTrialSequence, CumulativeSequence, canonical_prefix, canonical_terms
+from .freq_seq import _numbered, checked_chunks
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
-
-@dataclass(frozen=True)
-class BinaryTrialSequence:
-    """Immutable 0/1 outcomes, one per trial."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(self.bits))
-        _, bad = scan_bits(self.bits)
-        if bad is not None:
-            raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-    @property
-    def ones(self) -> int:
-        return sum(self.bits)
+if TYPE_CHECKING:
+    from .closure_ops import SourceConditionalOperator
 
 
 @dataclass(frozen=True)
@@ -97,6 +78,7 @@ def trace_operator(p: Fraction | int, n: int) -> SourceConditionalOperator:
     Equal to the join of the n single-outcome operators; built directly
     from the union since the join within the family is attachment union.
     """
+    from .closure_ops import SourceConditionalOperator
     labeled = label_events(to_binary(canonical_prefix(p, n)))
     return SourceConditionalOperator(frozenset(labeled.entries), source_statement())
 
@@ -107,6 +89,7 @@ def realize_trace(p: Fraction | int, n: int) -> LabeledEventSequence:
     Goes through the operator: realize C(outcomes, {G}) on {G} and sort the
     produced statements by trial label.
     """
+    from .closure_ops import realize
     op = trace_operator(p, n)
     produced = realize(op, {op.source})
     ordered = sorted(produced, key=lambda s: s.label or 0)

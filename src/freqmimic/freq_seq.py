@@ -5,8 +5,9 @@ term is 0 or 1 and consecutive terms grow by 0 or 1.  The canonical
 prefix construction for a rational probability p keeps the running
 frequency within 1/k of p at every trial k; companion constructions give
 distinct sequences with the same limit, frozen tails, and oscillating
-frequencies that never converge.  All core arithmetic is exact: p is a
-``fractions.Fraction`` and comparisons use integer cross-multiplication.
+frequencies that never converge.  ``BinaryTrialSequence`` holds the 0/1
+steps.  All core arithmetic is exact: p is a ``fractions.Fraction`` and
+comparisons use integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ class FormCheck(NamedTuple):
     violation_index: int | None  # 1-based index of the first bad term
 
 
-def scan_bits(values: Sequence) -> tuple[int, int | None]:
-    """The entries ``countOf`` counts as 1, and the 0-based index of the first
-    it counts as neither 0 nor 1 (None if there is none)."""
-    ones = countOf(values, 1)
-    if ones + countOf(values, 0) == len(values):
-        return ones, None
-    return ones, next(i for i, value in enumerate(values) if value not in (0, 1))
+def _first_non_bit(values: Sequence) -> int | None:
+    """0-based index of the first entry ``countOf`` counts as neither 0 nor 1, or None."""
+    if countOf(values, 0) + countOf(values, 1) == len(values):
+        return None
+    return next(i for i, value in enumerate(values) if value not in (0, 1))
 
 
 def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
@@ -53,7 +52,7 @@ def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
 
     ``prev`` is the term before ``terms[0]``; a(0) = 0 for a whole sequence.
     """
-    return scan_bits(list(map(sub, terms, chain((prev,), terms))))[1]
+    return _first_non_bit(list(map(sub, terms, chain((prev,), terms))))
 
 
 def _form_error(index: int) -> ValueError:
@@ -83,6 +82,32 @@ class CumulativeSequence:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.terms)
+
+
+@dataclass(frozen=True)
+class BinaryTrialSequence:
+    """Immutable 0/1 outcomes, one per trial: the steps of a ``CumulativeSequence``."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        bits = tuple(self.bits)
+        object.__setattr__(self, "bits", bits)
+        bad = _first_non_bit(bits)
+        if countOf(map(type, bits), int) != len(bits):  # countOf counts True and 1.0 as 1
+            bad = next((i for i, bit in enumerate(bits[:bad]) if type(bit) is not int), bad)
+        if bad is not None:
+            raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.bits)
+
+    @property
+    def ones(self) -> int:
+        return sum(self.bits)
 
 
 class FrequencyPoint(NamedTuple):

@@ -21,12 +21,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import countOf, ne
 from typing import Iterator, NamedTuple, Sequence
 
-from .event_seq import BinaryTrialSequence
-from .freq_seq import canonical_terms, check_probability
+from .freq_seq import BinaryTrialSequence, canonical_terms, check_probability
 
 PRNG_VERSION = "splitmix64-v1"
 
@@ -65,24 +63,19 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def prng_bits(p: Fraction | int, n: int, seed: int) -> Iterator[int]:
-    """n seeded pseudo-random trials with success probability p, lazily.
+def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
+    """n seeded pseudo-random trials with success probability p.
 
     Each SplitMix64 output z (uniform over [0, 2**64)) yields a success
     exactly when z / 2**64 < p, decided by the integer comparison
     z * p.denominator < p.numerator << 64, so the draw is exact: p = 0
-    never succeeds and p = 1 always does.  The arguments are checked here,
+    never succeeds and p = 1 always does.  The arguments are checked
     before the first trial is drawn.
     """
     chunks = _splitmix64_chunks(check_probability(p), _check_trials(n), check_seed(seed))
-    return chain.from_iterable(
-        bits.to_bytes(16 * size, "little")[::16] for bits, size in chunks
+    return BinaryTrialSequence(
+        tuple(b"".join(bits.to_bytes(16 * size, "little")[::16] for bits, size in chunks))
     )
-
-
-def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
-    """The trials of ``prng_bits(p, n, seed)`` as a sequence."""
-    return BinaryTrialSequence(tuple(prng_bits(p, n, seed)))
 
 
 def _check_trials(n: int) -> int:
@@ -161,7 +154,7 @@ def canonical_counts(p: Fraction | int, n: int) -> BitCounts:
 
 
 def prng_counts(p: Fraction | int, n: int, seed: int) -> BitCounts:
-    """The counts of ``prng_bits(p, n, seed)``, a chunk of trials at a time."""
+    """The counts of ``bernoulli_prng(p, n, seed)``, a chunk of trials at a time."""
     chunks = _splitmix64_chunks(check_probability(p), _check_trials(n), check_seed(seed))
     ones = runs = 0
     last = None

@@ -311,8 +311,9 @@ def test_family_and_product_operators_match_oracle():
 def _tabulated_family_reports(size):
     G = source_statement()
     return [
-        (x, check_axioms(extensionalize(SourceConditionalOperator(x, G), lang)))
-        for lang in map(prefix_language, range(1, size + 1))
+        (s, x, check_axioms(extensionalize(SourceConditionalOperator(x, G), lang)))
+        for s in range(1, size + 1)
+        for lang in [prefix_language(s)]
         for x in all_subsets(lang.statements)
     ]
 

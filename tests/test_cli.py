@@ -30,7 +30,7 @@ def run_cli(*argv):
     )
 
 
-REALIZE_MODULES = ["cli", "closure_ops", "event_seq", "freq_seq", "language_core"]
+COMPARE_MODULES = ["cli", "freq_seq", "stats_harness"]
 MODULE_LOADS = [
     ((), [], []),
     (("gen-seq", "--p", "1/3", "--n", "5"), ["cli", "freq_seq"], ["argparse"]),
@@ -42,10 +42,11 @@ MODULE_LOADS = [
     (("check-axioms", "--self-maps"), ["cli", "closure_ops", "language_core"], ["argparse"]),
     (("gen-dist", "--probs", "1/4,3/4", "--n", "5"),
      ["cell_dist", "cli", "freq_seq", "language_core"], ["argparse"]),
-    (("realize", "--p", "1/2", "--n", "5", "--format", "json"), REALIZE_MODULES, ["argparse"]),
-    (("compare", "--p", "1/2", "--n", "100"), REALIZE_MODULES + ["stats_harness"], ["argparse"]),
-    (("compare", "--p", "1/2", "--n", "100", "--format", "json"),
-     REALIZE_MODULES + ["stats_harness"], ["argparse", "json"]),
+    (("realize", "--p", "1/2", "--n", "5", "--format", "json"),
+     ["cli", "event_seq", "freq_seq", "language_core"], ["argparse"]),
+    (("compare", "--p", "1/2", "--n", "100"), COMPARE_MODULES, ["argparse"]),
+    (("compare", "--p", "1/2", "--n", "100", "--format", "json"), COMPARE_MODULES,
+     ["argparse", "json"]),
 ]
 
 
@@ -299,7 +300,7 @@ def test_check_axioms_counterexample_exits_one(capsys, monkeypatch):
         finitary=True,
         counterexample=(frozenset(), frozenset()),
     )
-    monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter([(frozenset(), broken)]))
+    monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter([(1, frozenset(), broken)]))
     assert main(["check-axioms", "--family", "--language-size", "2"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -312,14 +313,14 @@ def test_check_axioms_counterexample_exits_one(capsys, monkeypatch):
 
 def test_check_axioms_witnesses_name_each_failing_axiom(capsys, monkeypatch):
     family = list(closure_ops.family_reports(3))
-    attachments, _ = family[5]  # the last of size 2's four operators
+    size, attachments, _ = family[5]  # the last of size 2's four operators
     broken = closure_ops.AxiomReport(False, False, False, (frozenset(attachments),))
-    family[5] = (attachments, broken)
+    family[5] = (size, attachments, broken)
     monkeypatch.setattr(closure_ops, "family_reports", lambda size: iter(family))
     assert main(["check-axioms", "--family", "--language-size", "3"]) == 1
     captured = capsys.readouterr()
     witness = "counterexample {G,E_1} for C({G,E_1},{G}) on language size 2"
-    assert attachments == prefix_language(2).statements
+    assert (size, attachments) == (2, prefix_language(2).statements)
     assert captured.err.splitlines() == [
         f"{name}: {witness}" for name in ("extensive-idempotent", "monotone", "finitary")
     ] + ["operators per language size: 1: 2, 2: 4, 3: 8"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqmimic import event_seq, freq_seq
 from freqmimic.closure_ops import (
     SourceConditionalOperator,
     canonical_form,
@@ -80,15 +81,33 @@ def test_binary_sequence_validates_bits():
     assert BinaryTrialSequence(()).bits == ()
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, F(1), F(0)])
+def test_bits_that_are_not_ints_are_rejected_with_the_trial_number(bad):
+    # countOf counts each of these as 0 or 1; the first bad trial is named either way round
+    for bits, trial in [((0, 1, bad, 1), 3), ((1, bad, 2), 2), ((2, bad), 1), ((bad,) * 3, 1)]:
+        with pytest.raises(ValueError, match=f"^trial {trial} outcome must be 0 or 1$"):
+            BinaryTrialSequence(bits)
+        with pytest.raises(ValueError, match=f"^trial {trial} outcome must be 0 or 1$"):
+            from_binary(bits)
+
+
+def test_event_seq_keeps_the_names_the_bench_reads():
+    assert event_seq.BinaryTrialSequence is freq_seq.BinaryTrialSequence
+    assert callable(event_seq.to_binary) and callable(event_seq.from_binary)
+
+
 def test_from_binary_small_cases():
     assert from_binary(BinaryTrialSequence(())).terms == ()
     assert from_binary(BinaryTrialSequence((1, 1))).terms == (1, 2)
 
 
 def oracle_from_binary(bits):
-    """The two-scan route: check the bits, then the prefix sums' steps."""
-    checked = BinaryTrialSequence(tuple(bits))
-    return CumulativeSequence(tuple(itertools.accumulate(checked.bits)))
+    """The two-scan route: check that each bit is the int 0 or 1, then the prefix sums' steps."""
+    bits = tuple(bits)
+    for j, bit in enumerate(bits, 1):
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"trial {j} outcome must be 0 or 1")
+    return CumulativeSequence(tuple(itertools.accumulate(bits)))
 
 
 def _outcome(call):
@@ -105,7 +124,7 @@ def test_from_binary_matches_the_two_scan_route(bits):
     got, expected = _outcome(lambda: from_binary(bits)), _outcome(lambda: oracle_from_binary(bits))
     assert got == expected
     if got[0] == "ok":
-        assert list(map(type, got[1].terms)) == list(map(type, expected[1].terms))
+        assert set(map(type, got[1].terms)) <= {int}
 
 
 def test_from_binary_inverts_to_binary():

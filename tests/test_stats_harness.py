@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqmimic.cell_dist import build_cell_sequences
-from freqmimic.event_seq import BinaryTrialSequence, to_binary
-from freqmimic.freq_seq import canonical_prefix, truncate_freeze
+from freqmimic.event_seq import to_binary
+from freqmimic.freq_seq import BinaryTrialSequence, canonical_prefix, truncate_freeze
 from freqmimic.stats_harness import (
     CHI_SQUARE_CRITICAL,
     NORMAL_CRITICAL,
@@ -18,7 +18,6 @@ from freqmimic.stats_harness import (
     chi_square_cells,
     compare,
     frequency_test,
-    prng_bits,
     reports_csv,
     reports_from_csv,
     runs_test,
@@ -64,8 +63,8 @@ def test_prng_matches_published_splitmix64_outputs():
     # the first outputs of Vigna's reference splitmix64.c for seed 0; trial t
     # succeeds exactly when z_t < p * 2**64, so p = z_t / 2**64 sits on the edge
     for t, z in enumerate([0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]):
-        assert list(prng_bits(F(z, 1 << 64), 3, 0))[t] == 0
-        assert list(prng_bits(F(z + 1, 1 << 64), 3, 0))[t] == 1
+        assert bernoulli_prng(F(z, 1 << 64), 3, 0).bits[t] == 0
+        assert bernoulli_prng(F(z + 1, 1 << 64), 3, 0).bits[t] == 1
 
 
 def test_prng_seed_range_edges():
