@@ -14,6 +14,8 @@ above -den, and they sum to 0, so all are 0: row q*den + r is row r plus
 
 Per-trial outcomes re-emerge as one-hot statement tuples, matching the
 coordinatewise product of per-cell source-conditional operators.
+``cell_table_from_csv`` reads only the layout ``cell_csv`` writes, without
+the ``csv`` module.
 """
 
 from __future__ import annotations
@@ -367,23 +369,25 @@ def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
-    """Parse ``cell_csv`` output back; each row must be m + 2 integers, the first t."""
-    # Imported here so that importing this module does not load csv.
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    """Parse ``cell_csv`` output back.  After the header, row t must be m + 2
+    non-empty ASCII-digit fields, the first ``str(t)``, and every line must end
+    in a newline; anything else raises ``ValueError`` naming the row."""
+    lines = text.split("\n")
+    header = lines[0].split(",")
     if header[:2] != ["t", "assigned_cell"]:
         raise ValueError("missing cell CSV header")
     m = len(header) - 2
-    if m < 1 or header != _header(m):
+    if m < 1 or header != _header(m) or len(lines) == 1:
         raise ValueError("malformed cell CSV header")
     fields: list[str] = []
-    for expected, row in enumerate(reader, 1):
-        if len(row) != m + 2 or int(row[0]) != expected:
+    for expected, line in enumerate(lines[1:-1], 1):
+        row = line.split(",")
+        if len(row) != m + 2 or row[0] != str(expected) or "" in row or not (
+                line.isascii() and "".join(row).isdigit()):
             raise ValueError(f"inconsistent cell CSV row {expected}")
         fields += row
+    if lines[-1]:  # the last row has no final newline
+        raise ValueError(f"inconsistent cell CSV row {len(lines) - 1}")
     ints = list(map(int, fields))
     _, chosen, *columns = (tuple(ints[k :: m + 2]) for k in range(m + 2))
     return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]

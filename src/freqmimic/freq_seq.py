@@ -7,7 +7,8 @@ frequency within 1/k of p at every trial k; companion constructions give
 distinct sequences with the same limit, frozen tails, and oscillating
 frequencies that never converge.  ``BinaryTrialSequence`` holds the 0/1
 steps.  All core arithmetic is exact: p is a ``fractions.Fraction`` and
-comparisons use integer cross-multiplication.
+comparisons use integer cross-multiplication.  ``sequence_from_csv`` reads
+only the layout ``sequence_csv`` writes, without the ``csv`` module.
 """
 
 from __future__ import annotations
@@ -20,8 +21,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def parse_probability(text: str) -> Fraction:
-    """Parse 'num/den' or exact decimal text ('0.25' becomes 1/4)."""
+    """Parse 'num/den' or exact decimal text ('0.25' becomes 1/4).
+
+    A decimal exponent above 4,300 in magnitude (Python's limit on the digits
+    of an int read from text) is rejected before ``Fraction`` computes 10**e.
+    """
+    _, e, exponent = text.upper().partition("E")
     try:
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError("exponent out of range")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse probability: {text!r}") from exc
@@ -196,27 +204,19 @@ def variant_to_one(m: int, n: int) -> CumulativeSequence:
 def backshift_variant(seq: CumulativeSequence, block_index: int) -> CumulativeSequence:
     """Shift success counts down by one before a repeated-count block.
 
-    Terms at and after ``block_index`` are kept verbatim.  Walking backwards
-    from there, each earlier term drops by one until a term would reach or
-    pass zero; that term and everything before it become zero.  To keep the
+    Terms at and after ``block_index`` are kept verbatim, and each earlier
+    term a becomes max(a - 1, 0): terms never decrease, so once one would
+    reach or pass zero, every term before it is zero too.  To keep the
     unit-step form at the junction, the term at ``block_index`` must repeat
     its predecessor (any index inside a repeated block works).
     """
-    n = len(seq)
-    if not 1 <= block_index <= n:
+    terms = seq.terms
+    if not 1 <= block_index <= len(terms):
         raise ValueError("block index out of range")
-    terms = list(seq.terms)
     if block_index > 1 and terms[block_index - 1] != terms[block_index - 2]:
         raise ValueError("block index must sit inside a repeated-count block")
-    out = terms[:]
-    for k in range(block_index - 1, 0, -1):
-        lowered = terms[k - 1] - 1
-        if lowered <= 0:
-            for j in range(k):
-                out[j] = 0
-            break
-        out[k - 1] = lowered
-    return CumulativeSequence(out)
+    return CumulativeSequence(tuple(max(a - 1, 0) for a in terms[:block_index - 1])
+                              + terms[block_index - 1:])
 
 
 def truncate_freeze(seq: CumulativeSequence, m: int, n: int) -> CumulativeSequence:
@@ -359,44 +359,38 @@ def sequence_csv(seq: CumulativeSequence) -> str:
 def sequence_from_csv(text: str) -> CumulativeSequence:
     """Parse ``sequence_csv`` output back into a sequence, checking columns.
 
-    Text exactly as ``sequence_csv`` writes it (line k is ``k,a,a,k`` with
-    ASCII-digit ``a``) is read by comparing its split columns; anything else
-    goes through ``csv`` in ``_sequence_from_csv_slow``, so the inputs
-    accepted, the results and the errors are those of the csv reader.
+    Only the writer's layout is read: the header line, then line k as
+    ``k,a,a,k`` with ``a`` non-empty ASCII digits, every line ending in a
+    newline; the header alone is the empty sequence.  Any other text raises
+    ``ValueError`` naming the header or the first row off that layout (a text
+    without its final newline names its last row).
     """
-    if text.startswith(_CSV_HEADER_LINE) and text.endswith("\n"):
-        # Split on ",", row k gives a, a, then freq_den "k\n" fused with row k+1's n;
-        # the final newline keeps the last of these fields to row n alone.
-        fields = text[len(_CSV_HEADER_LINE):].split(",")
-        column = fields[1::3]
-        digits = "".join(column)
-        if (
-            len(fields) % 3 == 1
-            and digits.isascii()
-            and digits.isdigit()
-            and all(column)
-            and fields[2::3] == column
-            and _numbered(1, len(column) + 1, "k,k\n") == ",".join(fields[0::3])
-        ):
-            return CumulativeSequence(tuple(map(int, column)))
-    return _sequence_from_csv_slow(text)
-
-
-def _sequence_from_csv_slow(text: str) -> CumulativeSequence:
-    # Imported here so that importing this module does not load csv.
-    import csv
-    import io
-
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
+    if not text.startswith(_CSV_HEADER_LINE):
         raise ValueError("missing sequence CSV header")
-    terms = []
-    for expected, row in enumerate(rows[1:], 1):
-        k, a, num, den = (int(field) for field in row)
-        if k != expected or num != a or den != k:
-            raise ValueError(f"inconsistent sequence CSV row {expected}")
-        terms.append(a)
-    return CumulativeSequence(terms)
+    # Split on ",", row k gives a, a, then freq_den "k\n" fused with row k+1's n;
+    # the final newline keeps the last of these fields to row n alone.
+    body = text[len(_CSV_HEADER_LINE):]
+    fields = body.split(",")
+    column = fields[1::3]
+    digits = "".join(column)
+    if (
+        len(fields) % 3 == 1
+        and digits.isascii()
+        and (digits.isdigit() or not body)
+        and all(column)
+        and fields[2::3] == column
+        and _numbered(1, len(column) + 1, "k,k\n") == ",".join(fields[0::3])
+    ):
+        return CumulativeSequence(tuple(map(int, column)))
+    lines = body.split("\n")
+    bad = next((k for k, line in enumerate(lines[:-1], 1) if not _is_row(k, line)), len(lines))
+    raise ValueError(f"inconsistent sequence CSV row {bad}")
+
+
+def _is_row(k: int, line: str) -> bool:
+    """Whether a line is row k as ``sequence_csv`` writes it, newline aside."""
+    a = line.partition(",")[2].partition(",")[0]
+    return a.isascii() and a.isdigit() and line == f"{k},{a},{a},{k}"
 
 
 def sequence_json_rows(seq: CumulativeSequence) -> list[dict]:

@@ -275,9 +275,9 @@ def chi_square_cells(
     of freedom 1 through 10.
     """
     counts = list(counts)
-    if not all(isinstance(c, int) and c >= 0 for c in counts):
+    if not all(type(c) is int and c >= 0 for c in counts):  # bools are not counts
         raise ValueError("cell counts must be non-negative integers")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("trial count must be an integer")
     probs = [Fraction(p) for p in probs]
     if sum(probs) != 1:

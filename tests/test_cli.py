@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqmimic import closure_ops
 from freqmimic.cli import main
@@ -50,23 +55,41 @@ MODULE_LOADS = [
 ]
 
 
-def test_import_loads_no_serialization_or_cli_modules():
-    """``import freqmimic`` loads none of its modules, and each verb loads only the ones it runs.
+# Each reader reads its writer's text, and rejects text with row 2 signed, without csv.
+SEQ_READ = ("from freqmimic.freq_seq import canonical_prefix, sequence_csv, sequence_from_csv as read\n"
+            "table = canonical_prefix(1, 3)\ntext = sequence_csv(table)\n")
+CELL_READ = ("from freqmimic.cell_dist import build_cell_sequences, cell_csv, cell_table_from_csv as read\n"
+             "table = build_cell_sequences([1], 3)\ntext = cell_csv(*table)\n")
+ACCEPT = "assert read(text) == table"
+REJECT = ("try:\n    read(text.replace('\\n2,', '\\n+2,'))\nexcept ValueError:\n    pass\n"
+          "else:\n    raise AssertionError")
+CELL_MODULES = ["cell_dist", "freq_seq", "language_core"]
+READER_LOADS = [
+    (SEQ_READ + ACCEPT, ["freq_seq"], []),
+    (SEQ_READ + REJECT, ["freq_seq"], []),
+    (CELL_READ + ACCEPT, CELL_MODULES, []),
+    (CELL_READ + REJECT, CELL_MODULES, []),
+]
 
-    csv, json and argparse are left to the code paths that use them.
+
+def test_import_loads_no_serialization_or_cli_modules():
+    """``import freqmimic`` loads none of its modules, and each verb or reader loads only the
+    ones it runs.
+
+    csv, json and argparse are left to the code paths that use them; no path loads csv.
     """
     probe = (
         "import sys, freqmimic\n"
-        "if sys.argv[1:]:\n"
-        "    from freqmimic.cli import main\n"
-        "    assert main(sys.argv[1:]) == 0\n"
+        "exec(sys.argv[1])\n"
         "package = sorted(m[len('freqmimic.'):] for m in sys.modules if m.startswith('freqmimic.'))\n"
         "print(package, sorted({'csv', 'json', 'argparse'} & set(sys.modules)), file=sys.stderr)\n"
     )
-    for argv, modules, stdlib in MODULE_LOADS:
-        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    verbs = [(f"from freqmimic.cli import main\nassert main({list(argv)!r}) == 0" if argv else "",
+              modules, stdlib) for argv, modules, stdlib in MODULE_LOADS]
+    for code, modules, stdlib in verbs + READER_LOADS:
+        proc = subprocess.run([sys.executable, "-c", probe, code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == f"{modules} {stdlib}\n", argv
+        assert proc.stderr == f"{modules} {stdlib}\n", code
 
 
 def test_closed_stdout_exits_141_without_traceback():
@@ -135,6 +158,13 @@ def test_gen_seq_rejects_bad_lengths(capsys, argv, message):
         ("compare", "--p", "1", "--n", "1000000000"),
         ("compare", "--p", "1/2", "--n", "29"),
         ("compare", "--p", "1/10000000000", "--n", "1000000000"),
+        # decimal exponents past 4,300: Fraction would compute 10**e first
+        ("gen-seq", "--p", "1e-30000000", "--n", "2"),
+        ("gen-nonconv", "--low", "1e-10000000", "--high", "1/2", "--n", "2"),
+        ("gen-nonconv", "--low", "0", "--high", "1E+10000000", "--n", "2"),
+        ("gen-dist", "--probs", "1/2,1e-10000000", "--n", "2"),
+        ("realize", "--p", "1e-10000000", "--n", "2"),
+        ("compare", "--p", "1e-10000000", "--n", "100"),
     ],
 )
 def test_bad_flags_are_rejected_before_generation(capsys, verb):
@@ -142,6 +172,72 @@ def test_bad_flags_are_rejected_before_generation(capsys, verb):
     assert main(list(verb)) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == ""
+
+
+def test_huge_decimal_exponent_exits_2_with_one_error_line():
+    start = time.perf_counter()
+    proc = run_cli("gen-seq", "--p", "1e-10000000", "--n", "2")
+    assert time.perf_counter() - start < 5.0  # it took 11 s when Fraction parsed first
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot parse probability: '1e-10000000'\n"
+
+
+@st.composite
+def probability_texts(draw):
+    """Tiny, near-1 and plain rationals with up to 4,000-digit denominators, and
+    decimals with exponents up to +-5,000."""
+    den = draw(st.one_of(st.integers(min_value=1, max_value=100),
+                         st.integers(min_value=1, max_value=10**4000 - 1)))
+    kind = draw(st.sampled_from(["tiny", "near-one", "ratio", "decimal"]))
+    if kind == "tiny":
+        return f"1/{den}"
+    if kind == "near-one":
+        return f"{den - 1}/{den}"
+    if kind == "ratio":
+        return f"{draw(st.integers(min_value=0, max_value=den + 1))}/{den}"
+    mantissa = draw(st.sampled_from(["1", "5", "0.5", "25", "0.000001", "9" * 50]))
+    return f"{mantissa}e{draw(st.integers(min_value=-5000, max_value=5000))}"
+
+
+@st.composite
+def extreme_argvs(draw):
+    verb = draw(st.sampled_from(["gen-seq", "gen-nonconv", "gen-dist", "realize", "compare",
+                                 "check-axioms"]))
+    n = str(draw(st.integers(min_value=-2, max_value=64)))
+    fmt = ["--format", draw(st.sampled_from(["csv", "json"]))]
+    p = draw(probability_texts())
+    if verb == "check-axioms":
+        mode = draw(st.sampled_from(["--family", "--self-maps"]))
+        return [verb, mode, "--language-size", str(draw(st.integers(min_value=0, max_value=3)))]
+    if verb == "gen-nonconv":
+        return [verb, "--low", p, "--high", draw(probability_texts()), "--n", n, *fmt]
+    if verb == "gen-dist":
+        parts = draw(st.lists(probability_texts(), min_size=1, max_size=3))
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # often, complete the vector
+            rest = 1 - sum(map(Fraction, parts))
+            if rest >= 0 and draw(st.booleans()):
+                parts.append(str(rest))
+        return [verb, "--probs", ",".join(parts), "--n", n, *fmt]
+    if verb == "compare":
+        n = str(draw(st.integers(min_value=29, max_value=64)))  # 30 trials at least, mostly
+        return [verb, "--p", p, "--n", n, "--seed", str(draw(st.integers(0, 2**64 - 1))), *fmt]
+    freeze = ["--m", str(draw(st.integers(min_value=0, max_value=65)))] if draw(st.booleans()) else []
+    return [verb, "--p", p, "--n", n, *(freeze if verb == "gen-seq" else []), *fmt]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=extreme_argvs())
+def test_no_extreme_flag_value_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception here fails the property
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        assert argv[0] == "check-axioms"
+    elif code == 0:
+        assert lines == []
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_gen_nonconv_rejects_empty_prefix(capsys):

@@ -1,3 +1,6 @@
+import itertools
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +50,17 @@ def test_parse_probability_rejects_bad_input():
             parse_probability(text)
     with pytest.raises(ValueError, match="probability out of range"):
         check_probability(F(5, 4))
+
+
+def test_parse_probability_bounds_decimal_exponents_before_parsing():
+    # Fraction would compute 10**10000000 first; the bound is Python's 4,300-digit int limit
+    assert parse_probability("1e-4300") == F(1, 10**4300)
+    assert parse_probability("25E-2") == parse_probability(" 0.0025e+02 ") == F(1, 4)
+    start = time.perf_counter()
+    for text in ("1e-4301", "1E+4301", "1e-10000000", "1e-30000000", "1e-1_0000000", "0.5e-99999"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse probability: '{text}'")):
+            parse_probability(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_check_cumulative_form():
@@ -200,6 +214,43 @@ def test_backshift_variant_without_clamp_region():
 def test_backshift_variant_block_one_is_identity():
     seq = CumulativeSequence((0, 1, 1, 2))
     assert backshift_variant(seq, 1).terms == seq.terms
+
+
+def backshift_walk(seq, block_index):
+    """The backward walk: each earlier term drops by one until one would reach
+    or pass zero; that term and everything before it become zero."""
+    n = len(seq)
+    if not 1 <= block_index <= n:
+        raise ValueError("block index out of range")
+    terms = list(seq.terms)
+    if block_index > 1 and terms[block_index - 1] != terms[block_index - 2]:
+        raise ValueError("block index must sit inside a repeated-count block")
+    out = terms[:]
+    for k in range(block_index - 1, 0, -1):
+        lowered = terms[k - 1] - 1
+        if lowered <= 0:
+            for j in range(k):
+                out[j] = 0
+            break
+        out[k - 1] = lowered
+    return CumulativeSequence(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=1), max_size=40),
+    block_index=st.integers(min_value=-1, max_value=42),
+)
+def test_backshift_variant_matches_the_backward_walk(bits, block_index):
+    seq = CumulativeSequence(tuple(itertools.accumulate(bits)))
+
+    def result(variant):
+        try:
+            return variant(seq, block_index)
+        except ValueError as exc:
+            return str(exc)
+
+    assert result(backshift_variant) == result(backshift_walk)
 
 
 def test_backshift_variant_rejects_bad_blocks():

@@ -178,13 +178,14 @@ def test_chi_square_rejects_bad_tables():
         chi_square_cells((1, 0), 1, probs, 0.05)  # expected counts below 1
     with pytest.raises(ValueError):
         chi_square_cells(tuple([1] * 12), 12, tuple([F(1, 12)] * 12), 0.05)
-    for counts in ((-1, 31), (14.5, 15.5)):
+    for counts in ((-1, 31), (14.5, 15.5), (True, 29), (29, False)):
         with pytest.raises(ValueError, match="cell counts must be non-negative integers"):
             chi_square_cells(counts, 30, probs, 0.01)
     with pytest.raises(ValueError, match="^cell probabilities must sum to 1$"):
         chi_square_cells((15, 15), 30, (F(1, 2), F(2, 3)), 0.01)
-    with pytest.raises(ValueError, match="^trial count must be an integer$"):
-        chi_square_cells((15, 15), 30.0, probs, 0.01)
+    for n in (30.0, True):
+        with pytest.raises(ValueError, match="^trial count must be an integer$"):
+            chi_square_cells((15, 15), n, probs, 0.01)
 
 
 def test_frequency_test_rejects_a_variance_that_underflows():

@@ -1,13 +1,13 @@
 """Differential tests: the streaming core against the materializing code.
 
-The oracles below are the original writers, reader, generators and
+The oracles below are the original writers, readers, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
 materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
-parser, the per-trial oscillating loop, the column-building greedy cell
+parsers, the per-trial oscillating loop, the column-building greedy cell
 loop, the list-building SplitMix64 loop, and the index-scanning runs
-counter.  The streamed CLI output, the term and row generators, the fast
-reader and the one-pass counts must match them byte for byte, value for
-value, and error for error.
+counter.  The streamed CLI output, the term and row generators, the readers
+(on text in their writer's layout) and the one-pass counts must match them
+byte for byte, value for value, and error for error.
 """
 
 import array
@@ -570,7 +570,7 @@ def test_cumulative_form_check_takes_steps_of_exactly_0_or_1():
 
 
 def _mutations(text, row, rng_digit):
-    """Variants of canonical sequence CSV that the csv reader may still accept."""
+    """Variants of canonical sequence CSV, most of them off the writer's layout."""
     lines = text.split("\n")
     i = min(row, len(lines) - 2)  # a data row when there is one, else the header
     k, _, rest = lines[i].partition(",")
@@ -597,25 +597,46 @@ def _mutations(text, row, rng_digit):
     return variants
 
 
+def sequence_layout_error(text):
+    """``sequence_from_csv``'s error for text off ``sequence_csv``'s layout, else None."""
+    lines = text.split("\n")
+    if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER):
+        return "missing sequence CSV header"
+    for k, line in enumerate(lines[1:], 1):
+        last = k == len(lines) - 1  # the piece after the final newline
+        if last and not line:
+            return None
+        if last or not re.fullmatch(rf"{k},([0-9]+),\1,{k}", line):
+            return f"inconsistent sequence CSV row {k}"
+
+
+def read_or_name_the_row(oracle, layout_error, text):
+    """What a reader must do: the csv oracle's outcome on text in its writer's
+    layout, and the layout's error on any other text."""
+    error = layout_error(text)
+    return outcome(lambda: oracle(text)) if error is None else (ValueError, error)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seq=cumulative,
     row=st.integers(min_value=1, max_value=300),
     digit=st.sampled_from("0123456789"),
 )
-def test_reader_matches_csv_reader_on_canonical_and_mutated_text(seq, row, digit):
+def test_reader_reads_writer_text_and_names_the_first_row_off_its_layout(seq, row, digit):
     text = oracle_sequence_csv(seq)
     assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == seq
     for name, variant in _mutations(text, row, digit).items():
-        assert outcome(lambda: sequence_from_csv(variant)) == outcome(
-            lambda: oracle_sequence_from_csv(variant)
-        ), name
+        assert outcome(lambda: sequence_from_csv(variant)) == read_or_name_the_row(
+            oracle_sequence_from_csv, sequence_layout_error, variant), name
 
 
-def test_reader_fast_path_skips_the_csv_reader():
-    text = sequence_csv(oracle_canonical_prefix(F(3, 7), 50))
-    with mock.patch.object(freq_seq, "_sequence_from_csv_slow", side_effect=AssertionError):
-        assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), 50)
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(st.integers(min_value=0, max_value=12), max_size=40))
+def test_reader_raises_the_sequence_error_for_bad_terms_in_the_writer_layout(terms):
+    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{k},{a},{a},{k}\n" for k, a in enumerate(terms, 1))
+    assert sequence_layout_error(text) is None
+    assert outcome(lambda: sequence_from_csv(text)) == outcome(lambda: oracle_sequence_from_csv(text))
 
 
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
@@ -863,6 +884,83 @@ cell_vector_texts = st.one_of(
     cell_vectors.map(lambda probs: ",".join(map(str, probs))),
     st.sampled_from(["", "x", "1/2,1/3", "1/2,-1/2,1", "1/2,,1/2", "2"]),
 )
+
+
+def oracle_cell_table_from_csv(text):
+    """The csv-module cell reader, which also took quoted, signed or padded fields."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    if header[:2] != ["t", "assigned_cell"]:
+        raise ValueError("missing cell CSV header")
+    m = len(header) - 2
+    if m < 1 or header != ["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]:
+        raise ValueError("malformed cell CSV header")
+    fields = []
+    for expected, row in enumerate(reader, 1):
+        if len(row) != m + 2 or int(row[0]) != expected:
+            raise ValueError(f"inconsistent cell CSV row {expected}")
+        fields += row
+    ints = list(map(int, fields))
+    _, chosen, *columns = (tuple(ints[k :: m + 2]) for k in range(m + 2))
+    return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]
+
+
+def cell_layout_error(text):
+    """``cell_table_from_csv``'s error for text off ``cell_csv``'s layout, else None."""
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if header[:2] != ["t", "assigned_cell"]:
+        return "missing cell CSV header"
+    m = len(header) - 2
+    if m < 1 or header[2:] != [f"a_{k}" for k in range(1, m + 1)] or len(lines) == 1:
+        return "malformed cell CSV header"
+    for t, line in enumerate(lines[1:], 1):
+        last = t == len(lines) - 1
+        if last and not line:
+            return None
+        if last or not re.fullmatch(rf"{t}(,[0-9]+){{{m + 1}}}", line):
+            return f"inconsistent cell CSV row {t}"
+
+
+def _cell_mutations(text, row):
+    lines = text.split("\n")
+    i = min(row, len(lines) - 2)
+    t, _, rest = lines[i].partition(",")
+    out = {
+        "quoted": f'"{t}",{rest}',
+        "plus": f"+{t},{rest}",
+        "space": f" {t},{rest}",
+        "zeros": f"0{t},{rest}",
+    }
+    variants = {name: "\n".join(lines[:i] + [line] + lines[i + 1:]) for name, line in out.items()}
+    variants["crlf"] = text.replace("\n", "\r\n")
+    variants["no-final-newline"] = text[:-1]
+    return variants
+
+
+@settings(max_examples=100, deadline=None)
+@given(probs=cell_vectors, n=st.integers(min_value=0, max_value=120),
+       row=st.integers(min_value=1, max_value=120))
+def test_cell_reader_reads_writer_text_and_names_the_first_row_off_its_layout(probs, n, row):
+    table = cell_dist.build_cell_sequences(probs, n)
+    text = oracle_cell_csv(*table)
+    assert cell_dist.cell_table_from_csv(text) == oracle_cell_table_from_csv(text) == table
+    for name, variant in _cell_mutations(text, row).items():
+        assert outcome(lambda: cell_dist.cell_table_from_csv(variant)) == read_or_name_the_row(
+            oracle_cell_table_from_csv, cell_layout_error, variant
+        ), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=1, max_value=4))
+def test_cell_reader_raises_the_table_errors_for_bad_terms_in_the_writer_layout(data, m):
+    n = data.draw(st.integers(min_value=0, max_value=30))
+    rows = [(t, *data.draw(st.lists(st.integers(min_value=0, max_value=m + 1), min_size=m + 1,
+                                    max_size=m + 1))) for t in range(1, n + 1)]
+    text = old_cell_writer(rows, m, "csv")
+    assert cell_layout_error(text) is None
+    assert outcome(lambda: cell_dist.cell_table_from_csv(text)) == outcome(
+        lambda: oracle_cell_table_from_csv(text))
 
 
 def oracle_gen_dist(text, n, fmt):
