@@ -631,6 +631,13 @@ def test_reader_reads_writer_text_and_names_the_first_row_off_its_layout(seq, ro
             oracle_sequence_from_csv, sequence_layout_error, variant), name
 
 
+def test_reader_fast_path_skips_the_csv_reader():
+    text = sequence_csv(oracle_canonical_prefix(F(3, 7), 50))
+    with mock.patch.object(freq_seq, "_is_row", side_effect=AssertionError), \
+            mock.patch.object(csv, "reader", side_effect=AssertionError):
+        assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), 50)
+
+
 @settings(max_examples=100, deadline=None)
 @given(terms=st.lists(st.integers(min_value=0, max_value=12), max_size=40))
 def test_reader_raises_the_sequence_error_for_bad_terms_in_the_writer_layout(terms):
