@@ -182,6 +182,20 @@ def test_huge_decimal_exponent_exits_2_with_one_error_line():
     assert proc.stderr == "error: cannot parse probability: '1e-10000000'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen-seq", "--p", "1e4300", "--n", "2"),
+    ("gen-seq", "--p", "1e4299", "--n", "2"),
+    ("gen-dist", "--probs", "1e4300,0", "--n", "2"),
+    ("gen-nonconv", "--low", "0", "--high", "1e4300", "--n", "2"),
+    ("gen-seq", "--p=-" + "7" * 4000 + "/3", "--n", "2"),
+])
+def test_huge_probability_exits_2_with_one_short_error_line(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: probability out of range: ")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
+
+
 @st.composite
 def probability_texts(draw):
     """Tiny, near-1 and plain rationals with up to 4,000-digit denominators, and

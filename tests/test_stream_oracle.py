@@ -3,9 +3,9 @@
 The oracles below are the original writers, readers, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
 materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
-parsers, the per-trial oscillating loop, the column-building greedy cell
-loop, the list-building SplitMix64 loop, and the index-scanning runs
-counter.  The streamed CLI output, the term and row generators, the readers
+parsers, the per-row cell reader, the per-trial oscillating loop, the
+column-building greedy cell loop, the list-building SplitMix64 loop, and the
+index-scanning runs counter.  The streamed CLI output, the term and row generators, the readers
 (on text in their writer's layout) and the one-pass counts must match them
 byte for byte, value for value, and error for error.
 """
@@ -968,6 +968,104 @@ def test_cell_reader_raises_the_table_errors_for_bad_terms_in_the_writer_layout(
     assert cell_layout_error(text) is None
     assert outcome(lambda: cell_dist.cell_table_from_csv(text)) == outcome(
         lambda: oracle_cell_table_from_csv(text))
+
+
+def oracle_table_by_rows(text):
+    """The per-row cell reader, before consistent tables were read from their cell
+    column: every row's fields checked, then every field parsed."""
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if header[:2] != ["t", "assigned_cell"]:
+        raise ValueError("missing cell CSV header")
+    m = len(header) - 2
+    if m < 1 or header != ["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)] or len(
+            lines) == 1:
+        raise ValueError("malformed cell CSV header")
+    fields = []
+    for expected, line in enumerate(lines[1:-1], 1):
+        row = line.split(",")
+        if len(row) != m + 2 or row[0] != str(expected) or "" in row or not (
+                line.isascii() and "".join(row).isdigit()):
+            raise ValueError(f"inconsistent cell CSV row {expected}")
+        fields += row
+    if lines[-1]:  # the last row has no final newline
+        raise ValueError(f"inconsistent cell CSV row {len(lines) - 1}")
+    ints = list(map(int, fields))
+    _, chosen, *columns = (tuple(ints[k :: m + 2]) for k in range(m + 2))
+    return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]
+
+
+def count_columns(cells, m):
+    """a_1, ..., a_m of a cell column, one trial at a time."""
+    counts, columns = [0] * m, [[] for _ in range(m)]
+    for cell in cells:
+        counts[cell - 1] += 1
+        for column, a in zip(columns, counts):
+            column.append(a)
+    return columns
+
+
+def _edit_field(text, row, field, edit):
+    """The text with ``edit`` applied to one field of one row (both cut to the table)."""
+    lines = text.split("\n")
+    i = min(row, len(lines) - 2)
+    fields = lines[i].split(",")
+    j = min(field, len(fields) - 1)
+    fields[j] = edit(fields[j])
+    return "\n".join(lines[:i] + [",".join(fields)] + lines[i + 1:])
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=1, max_value=12))
+def test_cell_reader_matches_the_per_row_parser_on_any_cell_column(data, m):
+    cells = data.draw(st.lists(st.integers(min_value=1, max_value=m), max_size=300))
+    columns = count_columns(cells, m)
+    table = CellAssignment(cells, m), [CumulativeSequence(column) for column in columns]
+    text = cell_dist.cell_csv(*table)
+    row = data.draw(st.integers(min_value=1, max_value=300))
+    lines = text.split("\n")
+    variants = {"table": text, **_cell_mutations(text, row),
+                "cell-zero": _edit_field(text, row, 1, "0".__add__),
+                "count-zero": _edit_field(text, row, data.draw(st.integers(2, m + 1)), "0".__add__),
+                "arabic-cell": _edit_field(text, row, 1, lambda field: field.translate(ARABIC_DIGITS)),
+                "count-renamed": text.replace(",a_1", ",b_1", 1),
+                "no-counts": "".join(",".join(line.split(",")[:2]) + "\n" for line in lines[:-1])}
+    # One count moved by 1 where its column keeps unit steps: rows that no longer add up.
+    nudges = [(k, t, d) for k, column in enumerate(columns) for t in range(len(cells))
+              for d in (-1, 1)
+              if column[t] + d - (column[t - 1] if t else 0) in (0, 1)
+              and (t + 1 == len(cells) or column[t + 1] - column[t] - d in (0, 1))]
+    if nudges:
+        k, t, d = data.draw(st.sampled_from(nudges))
+        nudged = [list(column) for column in columns]
+        nudged[k][t] += d
+        inconsistent = CellAssignment(cells, m), [CumulativeSequence(c) for c in nudged]
+        variants["nudged"] = cell_dist.cell_csv(*inconsistent)
+        assert cell_dist.cell_table_from_csv(variants["nudged"]) == inconsistent
+        assert not cell_dist.validate_cell_table(inconsistent[1], [F(1, m)] * m).conservation
+    assert cell_dist.cell_table_from_csv(text) == table
+    for name, variant in variants.items():
+        got = outcome(lambda: cell_dist.cell_table_from_csv(variant))
+        assert got == outcome(lambda: oracle_table_by_rows(variant)), name
+        assert got == read_or_name_the_row(
+            oracle_cell_table_from_csv, cell_layout_error, variant), name
+        if got[0] == "ok":
+            assignment, sequences = got[1]
+            terms = [*assignment.entries, *itertools.chain.from_iterable(sequences)]
+            assert all(type(x) is int for x in terms), name
+
+
+@pytest.mark.parametrize("probs", ["1/6,1/3,1/2", ",".join(["1/10"] * 10)])
+def test_cell_reader_reads_gen_dist_text_from_its_cell_column(probs):
+    n = 2 * freq_seq.ROWS_PER_CHUNK + 5
+    code, text = run_main(["gen-dist", "--probs", probs, "--n", str(n)])
+    with mock.patch.object(cell_dist, "_table_by_rows", side_effect=AssertionError):
+        assert cell_dist.cell_table_from_csv(text) == cell_dist.build_cell_sequences(
+            cell_dist.parse_probability_vector(probs), n)
+    assert code == 0
 
 
 def oracle_gen_dist(text, n, fmt):
