@@ -15,10 +15,9 @@ above -den, and they sum to 0, so all are 0: row q*den + r is row r plus
 Per-trial outcomes re-emerge as one-hot statement tuples, matching the
 coordinatewise product of per-cell source-conditional operators.
 ``cell_table_from_csv`` reads only the layout ``cell_csv`` writes, without
-the ``csv`` module.  A consistent table is read from its cell column: the
-counts are derived from the cells and every row is rendered back, and a row
-that matches holds exactly the fields the per-row parse would read to the same
-ints.  Inconsistent tables and every error go through that per-row parse.
+the ``csv`` module.  A consistent table is read from its cell column, with
+the same result as the per-row parse; inconsistent tables and every error go
+through that per-row parse.
 """
 
 from __future__ import annotations
@@ -374,24 +373,34 @@ def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
     """Parse ``cell_csv`` output back.  After the header, row t must be m + 2
     non-empty ASCII-digit fields, the first ``str(t)``, and every line must end
-    in a newline; anything else raises ``ValueError`` naming the row.  Text
-    that is not a consistent table goes to the per-row parse ``_table_by_rows``."""
+    in a newline; anything else raises ``ValueError`` naming the row."""
+    table = _table_by_cells(text)
+    return _table_by_rows(text) if table is None else table
+
+
+def _table_by_cells(text: str) -> tuple[CellAssignment, list[CumulativeSequence]] | None:
+    """The table if the counts derived from the cell column render every row
+    back as written (so the per-row parse reads the same ints), else None."""
     lines = text.split("\n")
     m, rows = lines[0].count(",") - 1, lines[1:-1]
+    if (m < 1 or not rows or lines[-1] or lines[0] != ",".join(_header(m))
+            or text.count(",") != (len(rows) + 1) * (m + 1)):  # m columns n long fit the text
+        return None
     try:
         texts = [row.split(",", 2)[1] for row in rows]
         digits = "".join(texts)
-        cells = list(map(int, texts)) if digits.isascii() and digits.isdigit() else ()
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        cells = list(map(int, texts))
     except (IndexError, ValueError):  # a short row, an empty field, a huge number
-        cells = ()
-    if cells and m >= 1 and lines[0] == ",".join(_header(m)) and not lines[-1]:
-        columns = [list(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None))
-                   for k in range(1, m + 1)]
-        pool = list(map(str, range(len(rows) + 1)))
-        counts = (map(pool.__getitem__, column) for column in columns)
-        if all(map(eq, map(",".join, zip(pool[1:], texts, *counts)), rows)):
-            return CellAssignment(cells, m), [CumulativeSequence(column) for column in columns]
-    return _table_by_rows(text)
+        return None
+    columns = [list(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None))
+               for k in range(1, m + 1)]
+    pool = list(map(str, range(len(rows) + 1)))
+    counts = (map(pool.__getitem__, column) for column in columns)
+    if not all(map(eq, map(",".join, zip(pool[1:], texts, *counts)), rows)):
+        return None
+    return CellAssignment(cells, m), [CumulativeSequence(column) for column in columns]
 
 
 def _table_by_rows(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:

@@ -25,8 +25,8 @@ def parse_probability(text: str) -> Fraction:
 
     A decimal exponent above 4,300 in magnitude (Python's limit on the digits
     of an int read from text) is rejected before ``Fraction`` computes 10**e.
-    An out-of-range value with a numerator or denominator of 31 digits or more
-    is named by its text, cut to 64 characters, rather than printed.
+    An out-of-range value is named by its text, cut to 64 characters, so a
+    huge one is not printed in full.
     """
     _, e, exponent = text.upper().partition("E")
     try:
@@ -35,9 +35,9 @@ def parse_probability(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse probability: {text!r}") from exc
-    if max(abs(value.numerator), value.denominator) >= 10**30 and not 0 <= value <= 1:
+    if not 0 <= value <= 1:
         raise ValueError(f"probability out of range: {text[:64]}")
-    return check_probability(value)
+    return value
 
 
 def check_probability(value: Fraction | int) -> Fraction:

@@ -1068,6 +1068,21 @@ def test_cell_reader_reads_gen_dist_text_from_its_cell_column(probs):
     assert code == 0
 
 
+def test_cell_reader_memory_stays_within_the_text_on_a_wide_header_over_short_rows():
+    # m count columns n long would be 500 x 5,000 entries (20 MB) from 37 kB of text
+    m, n = 500, 5000
+    text = ",".join(["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]) + "\n"
+    text += "".join(f"{t},1\n" for t in range(1, n + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^inconsistent cell CSV row 1$"):
+            cell_dist.cell_table_from_csv(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(text)
+
+
 def oracle_gen_dist(text, n, fmt):
     probs = cell_dist.parse_probability_vector(text)
     assignment, sequences = oracle_build_cell_sequences(probs, n)
