@@ -8,7 +8,7 @@ distinct sequences with the same limit, frozen tails, and oscillating
 frequencies that never converge.  ``BinaryTrialSequence`` holds the 0/1
 steps.  All core arithmetic is exact: p is a ``fractions.Fraction`` and
 comparisons use integer cross-multiplication.  ``sequence_from_csv`` reads
-only the layout ``sequence_csv`` writes, without the ``csv`` module.
+only the layout ``sequence_csv`` writes, a piece of text at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def parse_probability(text: str) -> Fraction:
 
     A decimal exponent above 4,300 in magnitude (Python's limit on the digits
     of an int read from text) is rejected before ``Fraction`` computes 10**e.
-    An out-of-range value is named by its text, cut to 64 characters, so a
-    huge one is not printed in full.
+    A text that does not parse, or whose value is out of range, is named cut
+    to 64 characters, so a huge one is not printed in full.
     """
     _, e, exponent = text.upper().partition("E")
     try:
@@ -34,7 +34,7 @@ def parse_probability(text: str) -> Fraction:
             raise ValueError("exponent out of range")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse probability: {text!r}") from exc
+        raise ValueError(f"cannot parse probability: {text[:64]!r}") from exc
     if not 0 <= value <= 1:
         raise ValueError(f"probability out of range: {text[:64]}")
     return value
@@ -42,8 +42,10 @@ def parse_probability(text: str) -> Fraction:
 
 def check_probability(value: Fraction | int) -> Fraction:
     value = Fraction(value)
-    if value < 0 or value > 1:
-        raise ValueError(f"probability out of range: {value}")
+    if value < 0 or value > 1:  # a long int's text is slow or refused: name it by its bits
+        num, den = value.numerator.bit_length(), value.denominator.bit_length()
+        name = value if num + den <= 128 else f"{'-' * (value < 0)}{num}-bit/{den}-bit fraction"
+        raise ValueError(f"probability out of range: {name}")
     return value
 
 
@@ -73,7 +75,7 @@ def _form_error(index: int) -> ValueError:
 
 def check_cumulative_form(terms: Iterable[int]) -> FormCheck:
     """Check the cumulative-success constraints: a(1) in {0, 1}, unit steps."""
-    bad = _first_bad_step(list(terms))
+    bad = _first_bad_step(terms if isinstance(terms, (list, tuple)) else list(terms))
     return FormCheck(True, None) if bad is None else FormCheck(False, bad + 1)
 
 
@@ -299,6 +301,7 @@ def count_phase_switches(seq: CumulativeSequence) -> int:
 CSV_HEADER = ("n", "a_n", "freq_num", "freq_den")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 ROWS_PER_CHUNK = 8192
+PIECE = 1 << 18  # bytes of CSV text ``sequence_from_csv`` checks at a time
 
 
 def check_steps(terms: Sequence[int], prev: int, done: int) -> int:
@@ -361,34 +364,31 @@ def sequence_csv(seq: CumulativeSequence) -> str:
 
 
 def sequence_from_csv(text: str) -> CumulativeSequence:
-    """Parse ``sequence_csv`` output back into a sequence, checking columns.
+    """Parse ``sequence_csv`` output back into a sequence, a piece of text at a time.
 
-    Only the writer's layout is read: the header line, then line k as
-    ``k,a,a,k`` with ``a`` non-empty ASCII digits, every line ending in a
-    newline; the header alone is the empty sequence.  Any other text raises
-    ``ValueError`` naming the header or the first row off that layout (a text
-    without its final newline names its last row).
+    Only the writer's layout is read: the header line, then line k as ``k,a,a,k``
+    with ``a`` non-empty ASCII digits, every line ending in a newline; the header
+    alone is the empty sequence.  Any other text raises ``ValueError`` naming the
+    header or the first row off that layout (a text without its final newline
+    names its last row), before any term is checked as a ``CumulativeSequence``.
     """
     if not text.startswith(_CSV_HEADER_LINE):
         raise ValueError("missing sequence CSV header")
-    # Split on ",", row k gives a, a, then freq_den "k\n" fused with row k+1's n;
-    # the final newline keeps the last of these fields to row n alone.
-    body = text[len(_CSV_HEADER_LINE):]
-    fields = body.split(",")
-    column = fields[1::3]
-    digits = "".join(column)
-    if (
-        len(fields) % 3 == 1
-        and digits.isascii()
-        and (digits.isdigit() or not body)
-        and all(column)
-        and fields[2::3] == column
-        and _numbered(1, len(column) + 1, "k,k\n") == ",".join(fields[0::3])
-    ):
-        return CumulativeSequence(tuple(map(int, column)))
-    lines = body.split("\n")
-    bad = next((k for k, line in enumerate(lines[:-1], 1) if not _is_row(k, line)), len(lines))
-    raise ValueError(f"inconsistent sequence CSV row {bad}")
+    terms, k, start = [], 1, len(_CSV_HEADER_LINE)
+    while start < len(text):
+        end = text.find("\n", start + PIECE) + 1 or len(text)  # whole rows, from row k
+        fields = text[start:end].split(",")  # row k gives a, a, "k\nk+1" ("k\n" if last)
+        column = fields[1::3]
+        digits = "".join(column)
+        if not (len(fields) % 3 == 1 and digits.isascii() and digits.isdigit() and all(column)
+                and fields[2::3] == column
+                and _numbered(k, k + len(column), "k,k\n") == ",".join(fields[0::3])):
+            *rows, _ = text[start:end].split("\n")
+            bad = next((i for i, row in enumerate(rows, k) if not _is_row(i, row)), k + len(rows))
+            raise ValueError(f"inconsistent sequence CSV row {bad}")
+        terms += map(int, column)
+        k, start = k + len(column), end
+    return CumulativeSequence(terms)
 
 
 def _is_row(k: int, line: str) -> bool:

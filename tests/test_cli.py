@@ -196,6 +196,14 @@ def test_huge_probability_exits_2_with_one_short_error_line(argv):
     assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize("text", ["7" * 5000, "1/" + "7" * 4000 + "x"],
+                         ids=["5000-digit-int", "4000-digit-denominator-then-x"])
+def test_unparsable_long_probability_is_named_by_its_first_64_characters(text):
+    proc = run_cli("gen-seq", "--p", text, "--n", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot parse probability: {text[:64]!r}\n"
+
+
 @st.composite
 def probability_texts(draw):
     """Tiny, near-1 and plain rationals with up to 4,000-digit denominators, and

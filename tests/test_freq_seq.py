@@ -63,8 +63,21 @@ def test_parse_probability_bounds_decimal_exponents_before_parsing():
     assert time.perf_counter() - start < 0.5
 
 
+def test_check_probability_names_a_long_value_by_its_bit_lengths():
+    # str() refuses a 4,301-digit int, and spells out a 4,300-digit one
+    for value, name in [(F(5, 4), "5/4"), (F(-1, 2**100), f"-1/{2**100}"),
+                        (F(10**4300), "14285-bit/1-bit fraction"),
+                        (F(10**4299), "14281-bit/1-bit fraction"),
+                        (F(-(10**4299), 3), "-14281-bit/2-bit fraction")]:
+        with pytest.raises(ValueError) as info:
+            check_probability(value)
+        assert str(info.value) == f"probability out of range: {name}"
+
+
 def test_check_cumulative_form():
     assert check_cumulative_form([0, 1, 1, 2]) == (True, None)
+    assert check_cumulative_form(iter([0, 1, 1, 2])) == (True, None)
+    assert check_cumulative_form(a for a in (0, 2)) == (False, 2)
     assert check_cumulative_form([]) == (True, None)
     assert check_cumulative_form([2, 3]) == (False, 1)
     assert check_cumulative_form([0, 2]) == (False, 2)

@@ -581,6 +581,7 @@ def _mutations(text, row, rng_digit):
         "zeros": lines[:i] + [f"0{k},{rest}"] + lines[i + 1:],
         "extra": lines[:i] + [f"{lines[i]},0"] + lines[i + 1:],
         "short": lines[:i] + [k] + lines[i + 1:],
+        "empty-a": lines[:i] + [f"{k},,,{k}"] + lines[i + 1:],
         "blank": lines[:i] + [""] + lines[i:],
         "swap": lines[:i] + lines[i + 1:i + 2] + [lines[i]] + lines[i + 2:],
         "nonascii": lines[:i] + [lines[i].replace(rng_digit, chr(0x0660 + int(rng_digit)))]
@@ -617,33 +618,98 @@ def read_or_name_the_row(oracle, layout_error, text):
     return outcome(lambda: oracle(text)) if error is None else (ValueError, error)
 
 
-@settings(max_examples=100, deadline=None)
+# Pieces of a few bytes put piece cuts at most rows of a 300-row text.
+small_pieces = st.sampled_from([freq_seq.PIECE, 0, 1, 5, 20, 64])
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     seq=cumulative,
     row=st.integers(min_value=1, max_value=300),
     digit=st.sampled_from("0123456789"),
+    piece=small_pieces,
 )
-def test_reader_reads_writer_text_and_names_the_first_row_off_its_layout(seq, row, digit):
+def test_reader_reads_writer_text_and_names_the_first_row_off_its_layout(seq, row, digit, piece):
     text = oracle_sequence_csv(seq)
-    assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == seq
-    for name, variant in _mutations(text, row, digit).items():
-        assert outcome(lambda: sequence_from_csv(variant)) == read_or_name_the_row(
-            oracle_sequence_from_csv, sequence_layout_error, variant), name
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == seq
+        for name, variant in _mutations(text, row, digit).items():
+            assert outcome(lambda: sequence_from_csv(variant)) == read_or_name_the_row(
+                oracle_sequence_from_csv, sequence_layout_error, variant), name
+
+
+def _piece_cut(text):
+    """The row whose line ends the reader's first piece of a sequence CSV."""
+    end = text.find("\n", len(freq_seq._CSV_HEADER_LINE) + freq_seq.PIECE)
+    return text.count("\n", 0, end)
+
+
+def _break_row(text, k):
+    return text.replace(f"\n{k},", f"\n+{k},", 1)
+
+
+def test_reader_names_rows_broken_on_either_side_of_a_piece_cut():
+    n = 3 * freq_seq.ROWS_PER_CHUNK + 1
+    text = sequence_csv(oracle_canonical_prefix(F(3, 7), n))
+    cut = _piece_cut(text)
+    assert 1 < cut < n  # the text is read in more than one piece
+    named = {
+        _break_row(text, cut): cut,
+        _break_row(text, cut + 1): cut + 1,
+        _break_row(_break_row(text, cut + 1), cut): cut,
+        _break_row(text[:-1], cut + 1): cut + 1,
+        text[:-1]: n,
+    }
+    for variant, row in named.items():
+        assert outcome(lambda: sequence_from_csv(variant)) == (
+            ValueError, f"inconsistent sequence CSV row {row}")
+    # the per-row oracle compiles a pattern per row: check it on one variant
+    assert read_or_name_the_row(oracle_sequence_from_csv, sequence_layout_error, text[:-1]) == (
+        ValueError, f"inconsistent sequence CSV row {n}")
+
+
+@pytest.mark.parametrize("piece, n", [(0, 300), (7, 300), (freq_seq.PIECE, 3 * freq_seq.ROWS_PER_CHUNK)])
+def test_reader_names_a_layout_error_after_a_step_error(piece, n):
+    # row 2 jumps by 2, and the last row, pieces later, is off the layout
+    terms = [0, 2, *range(2, n)]
+    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{k},{a},{a},{k}\n" for k, a in enumerate(terms, 1))
+    for variant, error in [(text, "not a cumulative-success sequence at index 2"),
+                           (text[:-1] + ",\n", f"inconsistent sequence CSV row {n}")]:
+        if n <= 300:  # the layout oracle compiles a pattern per row
+            assert read_or_name_the_row(oracle_sequence_from_csv, sequence_layout_error, variant) == (
+                ValueError, error)
+        with mock.patch.object(freq_seq, "PIECE", piece):
+            assert outcome(lambda: sequence_from_csv(variant)) == (ValueError, error)
 
 
 def test_reader_fast_path_skips_the_csv_reader():
-    text = sequence_csv(oracle_canonical_prefix(F(3, 7), 50))
-    with mock.patch.object(freq_seq, "_is_row", side_effect=AssertionError), \
-            mock.patch.object(csv, "reader", side_effect=AssertionError):
-        assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), 50)
+    for n in (50, 3 * freq_seq.ROWS_PER_CHUNK + 1):  # one piece, then more than one
+        text = sequence_csv(oracle_canonical_prefix(F(3, 7), n))
+        assert (len(text) > freq_seq.PIECE) == (n > 50)
+        with mock.patch.object(freq_seq, "_is_row", side_effect=AssertionError), \
+                mock.patch.object(csv, "reader", side_effect=AssertionError):
+            assert sequence_from_csv(text) == oracle_canonical_prefix(F(3, 7), n)
+
+
+def test_reader_memory_stays_within_a_few_texts():
+    # a split of the whole text builds three strings per row: a peak of 12x this text
+    text = sequence_csv(oracle_canonical_prefix(F(3, 7), 10**5))
+    tracemalloc.start()
+    try:
+        sequence_from_csv(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text)
 
 
 @settings(max_examples=100, deadline=None)
-@given(terms=st.lists(st.integers(min_value=0, max_value=12), max_size=40))
-def test_reader_raises_the_sequence_error_for_bad_terms_in_the_writer_layout(terms):
+@given(terms=st.lists(st.integers(min_value=0, max_value=12), max_size=40), piece=small_pieces)
+def test_reader_raises_the_sequence_error_for_bad_terms_in_the_writer_layout(terms, piece):
     text = ",".join(CSV_HEADER) + "\n" + "".join(f"{k},{a},{a},{k}\n" for k, a in enumerate(terms, 1))
     assert sequence_layout_error(text) is None
-    assert outcome(lambda: sequence_from_csv(text)) == outcome(lambda: oracle_sequence_from_csv(text))
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        assert outcome(lambda: sequence_from_csv(text)) == outcome(lambda: oracle_sequence_from_csv(text))
 
 
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
