@@ -103,16 +103,13 @@ def _shares(
     return probs, den, [p.numerator * (den // p.denominator) for p in probs]
 
 
-def _greedy(den: int, nums: list[int], n: int) -> Iterator[tuple[int, ...]]:
+def _cells(den: int, nums: list[int], n: int) -> Iterator[int]:
     deficits = [0] * len(nums)  # t*nums[k] - a_k(t)*den
-    row = [0, 0] + deficits  # t, cell, a_1(t), ..., a_m(t)
-    for t in range(1, n + 1):
+    for _ in range(n):
         deficits = list(map(add, deficits, nums))
         best = deficits.index(max(deficits))
         deficits[best] -= den
-        row[0], row[1] = t, best + 1
-        row[best + 2] += 1
-        yield tuple(row)
+        yield best + 1
 
 
 def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[list]:
@@ -125,32 +122,28 @@ def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) ->
 
 
 def _chunks(den: int, nums: list[int], n: int) -> Iterator[list]:
-    """Rows 1..n of ``_greedy`` as column chunks: the cells, then a_1, ..., a_m,
-    each a pair ``(ints, idx)`` standing for ``ints[i] for i in idx``.  One
-    checked period gives every chunk of whole periods the same compact index
-    arrays into ``range`` pools of step 1, the cells' being ``range(m + 1)``, so
-    a count column's steps inside a chunk are the steps of its indices.  A
-    period longer than a chunk gives the loop's columns as tuples."""
-    periods = min(freq_seq.ROWS_PER_CHUNK // den, -(-n // den))
-    if not periods:
-        rows = _greedy(den, nums, n)
-        while chunk := list(islice(rows, freq_seq.ROWS_PER_CHUNK)):
-            _, *columns = zip(*chunk)
-            del chunk
-            yield [(column, range(len(column))) for column in columns]
-        return
-    _, cells, *columns = zip(*_greedy(den, nums, den))
-    if [column[-1] for column in columns] != nums:
-        raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
-    size = periods * den
-    indices = [array("I", cells * periods)] + [
-        array("I", (a + q * num for q in range(periods) for a in column))
-        for column, num in zip(columns, nums)]
-    for start in range(0, n, size):
-        q, rows = start // den, min(size, n - start)  # the counts enter at q*nums
-        pools = (range(q * num, (q + periods) * num + 1) for num in nums)
-        yield [(pool, idx if rows == size else idx[:rows])
-               for pool, idx in zip(chain((range(len(nums) + 1),), pools), indices)]
+    """Trials 1..n as column chunks of pairs ``(ints, idx)``, standing for ``ints[i]
+    for i in idx``: the cells into ``range(m + 1)``, then a_k's running count in the
+    chunk into a ``range`` from a_k before the chunk, for k = 1..m.  A period that
+    fits a chunk is run once, checked and repeated, so each chunk of whole periods
+    has one cell column and one set of index arrays; longer periods run the loop."""
+    m, size = len(nums), freq_seq.ROWS_PER_CHUNK
+    if den <= size:
+        period = array("I", _cells(den, nums, den))
+        if list(map(period.count, range(1, m + 1))) != nums:
+            raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
+        tile = period * (size // den)
+        columns = (tile if n - lo >= len(tile) else tile[:n - lo] for lo in range(0, n, len(tile)))
+    else:
+        cells = _cells(den, nums, n)
+        columns = (array("I", islice(cells, size)) for _ in range(0, n, size))
+    counts, last = [0] * m, None  # a_1, ..., a_m before the chunk
+    for column in columns:
+        if column is not last:  # else the index arrays of the chunk before serve
+            indices = [array("I", accumulate(map(eq, column, repeat(k)))) for k in range(1, m + 1)]
+        pools = [range(a, a + idx[-1] + 1) for a, idx in zip(counts, indices)]
+        yield list(zip([range(m + 1), *pools], [column, *indices]))
+        counts, last = [pool[-1] for pool in pools], column
 
 
 def build_cell_sequences(
@@ -280,7 +273,7 @@ def cell_operator_realization(
     probs, den, nums = _shares(probs)
     if not 1 <= t <= n:
         raise ValueError("trial index out of range")
-    _, cell, *_ = next(islice(_greedy(den, nums, t), (t - 1) % den, None))  # rows repeat every den
+    cell = next(islice(_cells(den, nums, t), (t - 1) % den, None))  # cells repeat every den
     source = source_statement()
     ops = [
         SourceConditionalOperator(frozenset({event(t) if cell == k else non_event(t)}), source)
@@ -301,11 +294,11 @@ def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
     ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
     Each chunk is checked as the materialized table is before it is rendered: its
     cells by ``CellAssignment``, then each count column's steps, carried on from
-    the chunk before, by ``CumulativeSequence``.  A tiled chunk (``_tiled``) whose
-    pool lengths and index arrays equal those of the last tiled chunk checked in
-    full differs from it only in where its count pools start: its cells and the
-    steps inside it are that chunk's, so only each count column's first step is
-    checked.
+    the chunk before, by ``CumulativeSequence``.  A tiled chunk (``_tiled``, as
+    each of ``_chunks`` is) whose pool lengths and index arrays equal those of the
+    last tiled chunk checked in full differs from it only in where its count pools
+    start: its cells and the steps inside it are that chunk's, so only each count
+    column's first step is checked.
     ``freq_seq._numbered`` writes t into the row pattern, filled by the chunk's
     gather (``_gather``, kept with a tiled shape) over its pools rendered by ``str``.
     """
@@ -421,6 +414,9 @@ def _table_by_rows(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]
         fields += row
     if lines[-1]:  # the last row has no final newline
         raise ValueError(f"inconsistent cell CSV row {len(lines) - 1}")
-    ints = list(map(int, fields))
+    try:
+        ints = list(map(int, fields))
+    except ValueError:  # a field past int's digit limit is no cell or count; -1 fails where it does
+        ints = list(map(freq_seq._digits_int, fields))
     _, chosen, *columns = (tuple(ints[k :: m + 2]) for k in range(m + 2))
     return CellAssignment(chosen, m), [CumulativeSequence(col) for col in columns]

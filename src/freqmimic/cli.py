@@ -4,14 +4,14 @@ Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
 are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
 alone (k is their position), each written a checked chunk at a time.
-gen-dist runs one greedy period and writes each later row as a period row
-plus an offset, in column chunks: the first chunk of each shape is checked in
-full, a later one where it meets the chunk before, and each shape fills its
-rows with one gather.  These four verbs write every row
-and trial number through one renderer, ``freq_seq._numbered``.  compare
-takes the designed stream's counts from their closed form and counts the
-generated stream in packed chunks as it is drawn.  So memory does not grow
-with --n; flags are checked before the first row.
+gen-dist takes each trial's cell from the greedy loop, run for one period and
+repeated when the period fits a chunk, and derives the counts from the cells,
+in column chunks: the first chunk of each shape is checked in full, a later one
+where it meets the chunk before, and each shape fills its rows with one
+gather.  These four verbs write every row and trial number through one
+renderer, ``freq_seq._numbered``.  compare takes the designed stream's counts
+from their closed form and counts the generated stream in packed chunks as it
+is drawn.  So memory does not grow with --n; flags are checked before the first row.
 Each verb imports only the modules it runs: compare loads ``freq_seq`` and
 ``stats_harness`` alone, and only check-axioms loads ``closure_ops``.
 Exit codes: 0 on success, 2 on usage errors, 1 when an exhaustive invariant

@@ -13,10 +13,11 @@ only the layout ``sequence_csv`` writes, a piece of text at a time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from operator import countOf, floordiv, mul, sub
+from operator import countOf, floordiv, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -287,15 +288,8 @@ def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequ
 
 def count_phase_switches(seq: CumulativeSequence) -> int:
     """Number of boundaries between counting runs and holding runs."""
-    terms = seq.terms
-    switches = 0
-    prev_step = None
-    for i in range(1, len(terms)):
-        step = terms[i] - terms[i - 1]
-        if prev_step is not None and step != prev_step:
-            switches += 1
-        prev_step = step
-    return switches
+    steps = list(map(sub, seq.terms[1:], seq.terms))
+    return sum(map(ne, steps, steps[1:]))
 
 
 CSV_HEADER = ("n", "a_n", "freq_num", "freq_den")
@@ -386,9 +380,18 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
             *rows, _ = text[start:end].split("\n")
             bad = next((i for i, row in enumerate(rows, k) if not _is_row(i, row)), k + len(rows))
             raise ValueError(f"inconsistent sequence CSV row {bad}")
-        terms += map(int, column)
+        try:
+            terms += map(int, column)
+        except ValueError:  # a term past int's digit limit is no a(k) <= k; -1 fails where it does
+            terms[k - 1:] = map(_digits_int, column)  # over any terms of this piece read so far
         k, start = k + len(column), end
     return CumulativeSequence(terms)
+
+
+def _digits_int(digits: str) -> int:
+    """``int`` of ASCII digits; -1 if past ``int``'s digit limit without leading zeros."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= sys.get_int_max_str_digits() else -1
 
 
 def _is_row(k: int, line: str) -> bool:

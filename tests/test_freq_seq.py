@@ -320,6 +320,25 @@ def test_count_phase_switches_worked_example():
     assert count_phase_switches(seq) == 7
 
 
+def loop_phase_switches(seq):
+    """``count_phase_switches`` as a loop over consecutive steps: the oracle."""
+    terms = seq.terms
+    switches = 0
+    prev_step = None
+    for i in range(1, len(terms)):
+        step = terms[i] - terms[i - 1]
+        if prev_step is not None and step != prev_step:
+            switches += 1
+        prev_step = step
+    return switches
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1), max_size=60))
+def test_count_phase_switches_matches_the_step_loop(bits):
+    seq = CumulativeSequence(tuple(itertools.accumulate(bits)))
+    assert count_phase_switches(seq) == loop_phase_switches(seq)
+
+
 @pytest.mark.parametrize(
     "low,high",
     [(F(1, 3), F(1, 2)), (F(2, 5), F(1, 2)), (F(1, 2), F(3, 5))],

@@ -4,7 +4,7 @@ The oracles below are the original writers, readers, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
 materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
 parsers, the per-row cell reader, the per-trial oscillating loop, the
-column-building greedy cell loop, the list-building SplitMix64 loop, and the
+column-building and the full-row greedy cell loops, the list-building SplitMix64 loop, and the
 index-scanning runs counter.  The streamed CLI output, the term and row generators, the readers
 (on text in their writer's layout) and the one-pass counts must match them
 byte for byte, value for value, and error for error.
@@ -27,6 +27,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -311,10 +312,22 @@ def cell_json_rows(
     ]
 
 
+def _greedy(den: int, nums: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    deficits = [0] * len(nums)  # t*nums[k] - a_k(t)*den
+    row = [0, 0] + deficits  # t, cell, a_1(t), ..., a_m(t)
+    for t in range(1, n + 1):
+        deficits = list(map(add, deficits, nums))
+        best = deficits.index(max(deficits))
+        deficits[best] -= den
+        row[0], row[1] = t, best + 1
+        row[best + 2] += 1
+        yield tuple(row)
+
+
 def loop_rows(probs, n):
-    """The rows (t, cell, a_1, ..., a_m) of the greedy loop run to trial n."""
+    """The rows (t, cell, a_1, ..., a_m) of the full-row greedy loop run to trial n."""
     _, den, nums = cell_dist._shares(probs)
-    return list(cell_dist._greedy(den, nums, n))
+    return list(_greedy(den, nums, n))
 
 
 def old_cell_writer(rows, m, fmt, header=True):
@@ -710,6 +723,27 @@ def test_reader_raises_the_sequence_error_for_bad_terms_in_the_writer_layout(ter
     assert sequence_layout_error(text) is None
     with mock.patch.object(freq_seq, "PIECE", piece):
         assert outcome(lambda: sequence_from_csv(text)) == outcome(lambda: oracle_sequence_from_csv(text))
+
+
+HUGE = "1" * 5000  # past int's default limit of 4,300 digits read from text
+ZEROS = "0" * 5000  # leading zeros count toward that limit too
+
+
+@pytest.mark.parametrize("piece", [0, 8, freq_seq.PIECE])  # 8: rows 3 and 4 share a piece
+def test_reader_names_a_term_past_the_int_digit_limit_by_its_sequence_error(piece):
+    # Such a term is never a(k) <= k, so the step check fails there, not int's
+    # limit; a layout error anywhere in the text still wins.
+    head = ",".join(CSV_HEADER) + "\n"
+    cases = {
+        f"{head}1,{HUGE},{HUGE},1\n": (ValueError, "not a cumulative-success sequence at index 1"),
+        f"{head}1,0,0,1\n2,1,1,2\n3,1,1,3\n4,{HUGE},{HUGE},4\n5,2,2,5\n": (
+            ValueError, "not a cumulative-success sequence at index 4"),
+        f"{head}1,1,1,1\n2,{ZEROS}1,{ZEROS}1,2\n": ("ok", CumulativeSequence((1, 1))),
+        f"{head}1,{HUGE},{HUGE},1\n2,1,1,2\n3,1,1,+3\n": (ValueError, "inconsistent sequence CSV row 3"),
+    }
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        for text, expected in cases.items():
+            assert outcome(lambda: sequence_from_csv(text)) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
@@ -1149,6 +1183,22 @@ def test_cell_reader_memory_stays_within_the_text_on_a_wide_header_over_short_ro
     assert peak < 40 * len(text)
 
 
+def test_cell_reader_names_a_field_past_the_int_digit_limit_by_its_table_error():
+    # Such a field is never a cell in 1..m or a count a_k(t) <= t: the table's
+    # own check fails there, not int's limit; a layout error anywhere still wins.
+    head = "t,assigned_cell,a_1,a_2\n"
+    cases = {
+        f"{head}1,1,1,0\n2,{HUGE},1,1\n": (ValueError, "trial 2 assigned outside 1..2"),
+        f"{head}1,1,1,0\n2,2,1,{HUGE}\n": (ValueError, "not a cumulative-success sequence at index 2"),
+        f"{head}1,1,{HUGE},0\n": (ValueError, "not a cumulative-success sequence at index 1"),
+        f"{head}1,{ZEROS}1,1,{ZEROS}\n": ("ok", (CellAssignment((1,), 2), [CumulativeSequence((1,)),
+                                                                             CumulativeSequence((0,))])),
+        f"{head}1,1,1,0\n2,2,1,{HUGE}\n3,1,2\n": (ValueError, "inconsistent cell CSV row 3"),
+    }
+    for text, expected in cases.items():
+        assert outcome(lambda: cell_dist.cell_table_from_csv(text)) == expected
+
+
 def oracle_gen_dist(text, n, fmt):
     probs = cell_dist.parse_probability_vector(text)
     assignment, sequences = oracle_build_cell_sequences(probs, n)
@@ -1231,12 +1281,17 @@ def test_gen_dist_tiles_match_the_loop_and_row_writer(case, fmt):
     argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         assert run_main_err(argv) == (0, old_cell_writer(rows, len(probs), fmt), "")
-        assert decoded_rows(cell_dist.cell_column_chunks(probs, n)) == [row[1:] for row in rows]
+        chunks = list(cell_dist.cell_column_chunks(probs, n))
+    assert decoded_rows(chunks) == [row[1:] for row in rows]
+    # one chunk form on both sides of den: range pools, array('I') indices
+    assert all(cell_dist._tiled(chunk, len(probs)) for chunk in chunks)
+    assert all(type(idx) is array.array and idx.typecode == "I" for chunk in chunks for _, idx in chunk)
 
 
 @pytest.mark.parametrize("probs, n", [
     ("1/6,1/3,1/2", 40000),  # 1,365 periods of 6 rows a chunk, five chunks
-    ("1/16411,16410/16411", 20000),  # a period longer than a chunk: the loop's rows
+    ("1/16411,16410/16411", 20000),  # a period longer than a chunk: the loop's cells
+    ("1/8209,8208/8209", 2 * 8192 + 5),  # the same, ending mid-chunk
 ])
 def test_gen_dist_matches_the_loop_at_full_chunks(probs, n):
     rows = loop_rows(cell_dist.parse_probability_vector(probs), n)
@@ -1246,9 +1301,8 @@ def test_gen_dist_matches_the_loop_at_full_chunks(probs, n):
 
 
 def test_a_period_that_ends_off_its_shares_raises():
-    rows = loop_rows([F(1, 4), F(3, 4)], 4)
-    rows[-1] = (4, 2, 2, 2)  # a_1(4) = 2, not 1: deficits -4 and 4
-    with mock.patch.object(cell_dist, "_greedy", lambda den, nums, n: iter(rows[:n])):
+    cells = [1, 2, 1, 2]  # a_1(4) = 2, not 1: deficits -4 and 4
+    with mock.patch.object(cell_dist, "_cells", lambda den, nums, n: iter(cells[:n])):
         with pytest.raises(RuntimeError, match="^greedy deficits are not all 0 at trial 4$"):
             next(cell_dist.cell_column_chunks([F(1, 4), F(3, 4)], 9))
 
@@ -1653,7 +1707,8 @@ class _Term(int):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("verb", ["sequence_chunks", "cell_chunks", "trace_chunks"])
+@pytest.mark.parametrize(
+    "verb", ["sequence_chunks", "cell_chunks", "long_period_cell_chunks", "trace_chunks"])
 def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
     # Terms are distinct int objects, so each has its own reference count.  A
     # term stream keeps the last term before the chunk it reads: its unit-step
@@ -1666,6 +1721,10 @@ def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
         "cell_chunks": lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 4), F(1, 2), F(1, 4)], n), held),
             3, fmt,
+        ),
+        # a period of 9 rows, longer than a chunk: the loop's cells
+        "long_period_cell_chunks": lambda: cell_dist.cell_chunks(
+            probed_chunks(cell_dist.cell_column_chunks([F(1, 9), F(8, 9)], n), held), 2, fmt,
         ),
         "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), n, fmt),  # two passes
     }
