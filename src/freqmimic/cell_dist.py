@@ -27,12 +27,12 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, countOf, eq, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import freq_seq
 from .freq_seq import CumulativeSequence, check_cumulative_form, check_steps, parse_probability
-from .language_core import Statement, StatementKind, event, non_event, source_statement
+from .language_core import Statement, StatementKind, _labeled, event, non_event, source_statement
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,18 @@ class CellAssignment:
 
 
 def _check_cells(entries: Sequence[int], m: int, done: int = 0) -> None:
-    """Raise the ``CellAssignment`` error for the first entry outside 1..m."""
-    if entries and not (1 <= min(entries) and max(entries) <= m):
-        t = next(t for t, entry in enumerate(entries, 1) if not 1 <= entry <= m)
+    """Raise the ``CellAssignment`` error for the first entry that is not an int
+    (of type exactly ``int``: not a bool or a float) in 1..m."""
+    ints = len(entries)  # the entries before the first that is not an int
+    if countOf(map(type, entries), int) != ints:
+        ints = next(t for t, entry in enumerate(entries) if type(entry) is not int)
+    head = entries[:ints]
+    if head and not (1 <= min(head) and max(head) <= m):
+        t = next(t for t, entry in enumerate(head, 1) if not 1 <= entry <= m)
         raise ValueError(f"trial {done + t} assigned outside 1..{m}")
+    if ints < len(entries):
+        name = type(entries[ints]).__name__
+        raise ValueError(f"trial {done + ints + 1} assigned a {name}, not an int cell")
 
 
 def _shares(
@@ -246,16 +254,33 @@ class OneHotTrial:
 
 
 def trials_to_tuples(assignment: CellAssignment, m: int) -> list[OneHotTrial]:
-    """Expand an assignment into per-trial one-hot statement tuples."""
+    """Expand an assignment into per-trial one-hot statement tuples.
+
+    Every entry is checked against m before any tuple is built.  A checked
+    ``CellAssignment`` holds ints in 1..m, so each trial's tuple has one label t,
+    exactly one event and no source: its statements and the ``OneHotTrial`` are
+    built without their ``__post_init__`` checks.
+    """
     if m < 1:
         raise ValueError("tuple arity must be positive")
+    entries = assignment.entries
+    if entries and max(entries) > m:
+        t, entry = next((t, entry) for t, entry in enumerate(entries, 1) if entry > m)
+        raise ValueError(f"trial {t} assigned to cell {entry}, beyond arity {m}")
     out = []
-    for t, entry in enumerate(assignment.entries, 1):
-        if entry > m:
-            raise ValueError(f"trial {t} assigned to cell {entry}, beyond arity {m}")
-        yes, no = event(t), non_event(t)
-        out.append(OneHotTrial((no,) * (entry - 1) + (yes,) + (no,) * (m - entry)))
+    for t, entry in enumerate(entries, 1):
+        yes, no = _labeled(StatementKind.EVENT, t), _labeled(StatementKind.NON_EVENT, t)
+        coordinates = (no,) * (entry - 1) + (yes,) + (no,) * (m - entry)
+        out.append(_unchecked(OneHotTrial, "coordinates", coordinates))
     return out
+
+
+def _unchecked(cls: type, field: str, value):
+    """A one-field frozen dataclass ``cls`` holding a value valid by construction,
+    built without its ``__post_init__`` check."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, value)
+    return obj
 
 
 def cell_operator_realization(
@@ -387,13 +412,14 @@ def _table_by_cells(text: str) -> tuple[CellAssignment, list[CumulativeSequence]
         cells = list(map(int, texts))
     except (IndexError, ValueError):  # a short row, an empty field, a huge number
         return None
-    columns = [list(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None))
+    columns = [tuple(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None))
                for k in range(1, m + 1)]
     pool = list(map(str, range(len(rows) + 1)))
     counts = (map(pool.__getitem__, column) for column in columns)
     if not all(map(eq, map(",".join, zip(pool[1:], texts, *counts)), rows)):
         return None
-    return CellAssignment(cells, m), [CumulativeSequence(column) for column in columns]
+    # each column: running counts of 0/1 steps from 0, a cumulative-success sequence of ints
+    return CellAssignment(cells, m), [_unchecked(CumulativeSequence, "terms", c) for c in columns]
 
 
 def _table_by_rows(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:

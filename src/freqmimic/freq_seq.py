@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from operator import countOf, floordiv, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -330,10 +331,17 @@ def _numbered(lo: int, hi: int, pattern: str) -> str:
     """
     first = max(-(-lo // 100), 1)  # full blocks are q = first .. last-1
     last = max(hi // 100, first)
-    pieces = "".join(pattern.replace("k", f"k{d:02}") for d in range(100)).split("k")
+    pieces = _block(pattern)
     head = "".join(pattern.replace("k", str(k)) for k in range(lo, min(hi, 100 * first)))
     tail = "".join(pattern.replace("k", str(k)) for k in range(max(lo, 100 * last), hi))
     return head + "".join([str(q).join(pieces) for q in range(first, last)]) + tail
+
+
+@lru_cache(maxsize=16)
+def _block(pattern: str) -> tuple[str, ...]:
+    """Rows 00 to 99 of ``pattern`` split at each row index: ``str(q).join`` of
+    them is rows 100q to 100q+99.  Kept per pattern, as every chunk renders one."""
+    return tuple("".join(pattern.replace("k", f"k{d:02}") for d in range(100)).split("k"))
 
 
 def _rendered(terms: Sequence[int], lo: int, fmt: str) -> str:

@@ -84,6 +84,17 @@ def non_event(label: int) -> Statement:
     return Statement(StatementKind.NON_EVENT, label)
 
 
+def _labeled(kind: StatementKind, label: int) -> Statement:
+    """``Statement(kind, label)`` for an event or non-event kind and a label known
+    to be a positive int, built without ``__post_init__``'s checks; its hash is
+    the one ``__post_init__`` caches."""
+    statement = object.__new__(Statement)
+    object.__setattr__(statement, "kind", kind)
+    object.__setattr__(statement, "label", label)
+    object.__setattr__(statement, "_hash", hash((kind._name_, label)))
+    return statement
+
+
 def statement_key(statement: Statement) -> tuple[int, int]:
     """Sort key giving the display order G, E_1, E'_1, E_2, E'_2, ..."""
     return (statement.label or 0, _KIND_RANK[statement.kind])

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freqmimic import cell_dist, freq_seq
 from freqmimic.cell_dist import (
     CellAssignment,
     CellTableReport,
@@ -21,7 +25,14 @@ from freqmimic.cell_dist import (
     _shares,
 )
 from freqmimic.freq_seq import CumulativeSequence, check_cumulative_form
-from freqmimic.language_core import event, non_event, source_statement
+from freqmimic.language_core import (
+    Statement,
+    StatementKind,
+    _labeled,
+    event,
+    non_event,
+    source_statement,
+)
 from test_stream_oracle import cell_json_rows, loop_rows
 
 F = Fraction
@@ -132,6 +143,20 @@ def test_cell_assignment_validates():
         CellAssignment((1, 4), 3)
     with pytest.raises(ValueError):
         CellAssignment((0,), 3)
+
+
+@pytest.mark.parametrize("entries, error", [
+    ((1.5,), "trial 1 assigned a float, not an int cell"),
+    ((True, 2), "trial 1 assigned a bool, not an int cell"),
+    ((2.0, 1), "trial 1 assigned a float, not an int cell"),
+    ((1, 2, Fraction(1)), "trial 3 assigned a Fraction, not an int cell"),
+    ((2, "1"), "trial 2 assigned a str, not an int cell"),
+    ((1, 3, 1.5), "trial 2 assigned outside 1..2"),  # the first bad trial is named
+    ((1, 1.5, 3), "trial 2 assigned a float, not an int cell"),
+])
+def test_cell_assignment_rejects_cells_that_are_not_ints(entries, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        CellAssignment(entries, 2)
 
 
 def test_greedy_small_run():
@@ -584,3 +609,63 @@ def test_validate_cell_table_conservation_without_one_hot():
         report = validate_cell_table(table, halves)
         assert report == oracle_validate_cell_table(table, halves)
         assert (report.membership, report.one_hot, report.conservation) == (False, False, True)
+
+
+def assert_same_object(built, validated):
+    """Equal, of one type, with one field dict and one hash, and unchanged by
+    pickle and deepcopy round trips."""
+    assert type(built) is type(validated) and vars(built) == vars(validated)
+    assert built == validated and hash(built) == hash(validated)
+    for back in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(back) is type(built) and back == built and hash(back) == hash(built)
+        assert vars(back) == vars(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.integers(min_value=1, max_value=6), max_size=30),
+    extra=st.integers(min_value=0, max_value=3),
+    label=st.integers(min_value=1, max_value=10**30),
+)
+def test_unchecked_builds_equal_the_validated_objects(entries, extra, label):
+    assert_same_object(_labeled(StatementKind.EVENT, label), event(label))
+    assert_same_object(_labeled(StatementKind.NON_EVENT, label), non_event(label))
+    m = max(entries, default=1) + extra
+    assignment = CellAssignment(entries, m)
+    built = trials_to_tuples(assignment, m)
+    validated = oracle_trials_to_tuples(assignment, m)
+    assert len(built) == len(validated)
+    for trial, expected in zip(built, validated):
+        assert_same_object(trial, expected)
+        for coordinate, statement in zip(trial.coordinates, expected.coordinates):
+            assert_same_object(coordinate, statement)
+    if entries:
+        counts = [[entries[:t].count(k) for t in range(1, len(entries) + 1)] for k in range(1, m + 1)]
+        table = assignment, [CumulativeSequence(column) for column in counts]
+        back = cell_table_from_csv(cell_csv(*table))
+        assert back == table
+        for sequence, expected in zip(back[1], table[1]):
+            assert_same_object(sequence, expected)
+            assert all(type(term) is int for term in sequence.terms)
+
+
+def test_trials_and_a_consistent_table_are_built_without_their_checks():
+    assignment, sequences = build_cell_sequences((F(1, 6), F(1, 3), F(1, 2)), 200)
+    text = cell_csv(assignment, sequences)
+    trials = oracle_trials_to_tuples(assignment, 3)
+    with mock.patch.object(OneHotTrial, "__post_init__", side_effect=AssertionError), \
+            mock.patch.object(Statement, "__post_init__", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "check_cumulative_form", side_effect=AssertionError):
+        assert trials_to_tuples(assignment, 3) == trials
+        assert cell_table_from_csv(text) == (assignment, sequences)
+        with pytest.raises(AssertionError):  # the per-row route checks every column
+            cell_dist._table_by_rows(text)
+        with pytest.raises(AssertionError):  # and the oracle every statement
+            oracle_trials_to_tuples(assignment, 3)
+
+
+def test_trials_to_tuples_names_the_first_cell_beyond_the_arity_before_building():
+    assignment = CellAssignment((1, 3, 2, 3), 3)
+    with mock.patch.object(cell_dist, "_labeled", side_effect=AssertionError), \
+            pytest.raises(ValueError, match="^trial 2 assigned to cell 3, beyond arity 2$"):
+        trials_to_tuples(assignment, 2)

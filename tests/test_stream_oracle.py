@@ -500,6 +500,17 @@ def test_numbered_matches_naive_rows(pattern):
             assert freq_seq._numbered(lo, hi, pattern) == expected, (lo, hi)
 
 
+def test_numbered_builds_a_pattern_block_once_and_rebuilds_an_evicted_one_unchanged():
+    freq_seq._block.cache_clear()
+    for lo in range(1, 50_000, freq_seq.ROWS_PER_CHUNK):  # one block for every chunk of a pattern
+        freq_seq._numbered(lo, lo + freq_seq.ROWS_PER_CHUNK, "k,%s\n")
+    assert freq_seq._block.cache_info().misses == 1
+    patterns = [f"k;{i}\n" for i in range(2 * freq_seq._block.cache_info().maxsize)]
+    for pattern in patterns * 2:  # more patterns than the cache keeps
+        expected = "".join(pattern.replace("k", str(k)) for k in range(95, 1234))
+        assert freq_seq._numbered(95, 1234, pattern) == expected, pattern
+
+
 def test_writer_patterns_have_no_letter_k_but_their_number_slots():
     # _numbered writes the row number over every letter k, so a k in a key or a
     # label would be overwritten: each k must stand alone, and the rows have one
@@ -1361,6 +1372,35 @@ def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fm
         injected = decoded_rows(cell_dist.cell_column_chunks(probs, n))
     assert injected == [row[1:] for row in rows]
     assert (code, err) == (2, f"error: {expected[1]}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.one_of(st.integers(min_value=0, max_value=4), st.booleans(),
+                             st.floats(min_value=0, max_value=4), st.just(F(1))), max_size=40),
+    chunk=st.integers(min_value=1, max_value=8),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(cells=[1, 2, 9, 1.0], chunk=2, fmt="csv")  # out of range, then a float, in chunk 2
+@example(cells=[1, 2.0, 9, 1], chunk=2, fmt="csv")  # a float in chunk 1, out of range in chunk 2
+@example(cells=[True], chunk=1, fmt="json")
+def test_cell_chunks_raise_the_assignment_error_for_cells_that_are_not_ints(cells, chunk, fmt):
+    # A stream of cells fails where ``CellAssignment`` fails: at the first trial
+    # whose cell is not an int, or is an int outside 1..m.  The count columns
+    # (a_1 = t, a_2 = a_3 = 0) are well formed, so only the cells can fail.
+    expected = outcome(lambda: CellAssignment(cells, 3))
+    assert (expected[0] is ValueError) == any(type(c) is not int or not 1 <= c <= 3 for c in cells)
+
+    def column_chunk(lo):
+        rows = range(len(cells[lo:lo + chunk]))
+        return [(cells[lo:lo + chunk], rows), (range(lo + 1, lo + 1 + len(rows)), rows),
+                ([0], [0] * len(rows)), ([0], [0] * len(rows))]
+
+    chunks = map(column_chunk, range(0, len(cells), chunk))
+    got = outcome(lambda: "".join(cell_dist.cell_chunks(chunks, 3, fmt)))
+    assert got[0] == expected[0]
+    if got[0] is ValueError:
+        assert got == expected
 
 
 def oracle_full_check_chunks(chunks, m, fmt):
