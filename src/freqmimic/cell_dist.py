@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, countOf, eq, itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import freq_seq
-from .freq_seq import CumulativeSequence, check_cumulative_form, check_steps, parse_probability
+from .freq_seq import CumulativeSequence, check_cumulative_form, parse_probability
 from .language_core import Statement, StatementKind, _labeled, event, non_event, source_statement
 
 
@@ -120,8 +120,8 @@ def _cells(den: int, nums: list[int], n: int) -> Iterator[int]:
         yield best + 1
 
 
-def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[list]:
-    """Column chunks (``_chunks``) of trials 1..n, arguments checked first: trial t goes to
+def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[array]:
+    """Cell columns (``_chunks``) of trials 1..n, arguments checked first: trial t goes to
     the cell with the largest deficit t*p_k - a_k(t-1) (lowest index on ties; exact integers)."""
     _, den, nums = _shares(probs)
     if n < 0:
@@ -129,40 +129,36 @@ def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) ->
     return _chunks(den, nums, n)
 
 
-def _chunks(den: int, nums: list[int], n: int) -> Iterator[list]:
-    """Trials 1..n as column chunks of pairs ``(ints, idx)``, standing for ``ints[i]
-    for i in idx``: the cells into ``range(m + 1)``, then a_k's running count in the
-    chunk into a ``range`` from a_k before the chunk, for k = 1..m.  A period that
-    fits a chunk is run once, checked and repeated, so each chunk of whole periods
-    has one cell column and one set of index arrays; longer periods run the loop."""
+def _chunks(den: int, nums: list[int], n: int) -> Iterator[array]:
+    """The cells of trials 1..n as ``array('I')`` columns of ``ROWS_PER_CHUNK`` rows.  A
+    period that fits a chunk is run once, checked and repeated, so every full chunk is
+    the same object, ``tile``, of whole periods; longer periods run the loop."""
     m, size = len(nums), freq_seq.ROWS_PER_CHUNK
     if den <= size:
         period = array("I", _cells(den, nums, den))
         if list(map(period.count, range(1, m + 1))) != nums:
             raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
         tile = period * (size // den)
-        columns = (tile if n - lo >= len(tile) else tile[:n - lo] for lo in range(0, n, len(tile)))
+        yield from (tile if n - lo >= len(tile) else tile[:n - lo] for lo in range(0, n, len(tile)))
     else:
         cells = _cells(den, nums, n)
-        columns = (array("I", islice(cells, size)) for _ in range(0, n, size))
-    counts, last = [0] * m, None  # a_1, ..., a_m before the chunk
-    for column in columns:
-        if column is not last:  # else the index arrays of the chunk before serve
-            indices = [array("I", accumulate(map(eq, column, repeat(k)))) for k in range(1, m + 1)]
-        pools = [range(a, a + idx[-1] + 1) for a, idx in zip(counts, indices)]
-        yield list(zip([range(m + 1), *pools], [column, *indices]))
-        counts, last = [pool[-1] for pool in pools], column
+        yield from (array("I", islice(cells, size)) for _ in range(0, n, size))
 
 
 def build_cell_sequences(
     probs: ProbabilityVector | Sequence[Fraction], n: int
 ) -> tuple[CellAssignment, list[CumulativeSequence]]:
     """The greedy assignment of trials 1..n (see ``cell_column_chunks``) as a table."""
-    columns: list[list[int]] = [[] for _ in range(len(probs) + 1)]
-    for chunk in cell_column_chunks(probs, n):
-        for column, (ints, idx) in zip(columns, chunk):
-            column += map(ints.__getitem__, idx)
-    return CellAssignment(columns[0], len(probs)), [CumulativeSequence(c) for c in columns[1:]]
+    assignment = CellAssignment(tuple(chain(*cell_column_chunks(probs, n))), len(probs))
+    return assignment, _count_sequences(assignment.entries, len(probs))
+
+
+def _count_sequences(cells: Sequence[int], m: int) -> list[CumulativeSequence]:
+    """Each cell k's running counts a_k(1), ..., a_k(n) over int cells, built without
+    ``CumulativeSequence``'s check: exact ints from 0 that step by 0 or 1."""
+    return [_unchecked(CumulativeSequence, "terms",
+                       tuple(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None)))
+            for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -312,80 +308,61 @@ def _header(m: int) -> list[str]:
     return ["t", "assigned_cell"] + [f"a_{k}" for k in range(1, m + 1)]
 
 
-def cell_chunks(chunks: Iterable[list], m: int, fmt: str) -> Iterator[str]:
-    """Render column chunks (see ``_chunks``) as CSV (header first) or JSON lines.
+def cell_chunks(columns: Iterable[Sequence[int]], m: int, fmt: str) -> Iterator[str]:
+    """Render cell columns (see ``_chunks``) as CSV (header first) or JSON lines.
 
-    For ints, t from position, the rows are the bytes of ``csv.writer``, or of
-    ``json.dumps`` on ``{"trial": t, "cell": cell, "counts": [a_1, ..., a_m]}``.
-    Each chunk is checked as the materialized table is before it is rendered: its
-    cells by ``CellAssignment``, then each count column's steps, carried on from
-    the chunk before, by ``CumulativeSequence``.  A tiled chunk (``_tiled``, as
-    each of ``_chunks`` is) whose pool lengths and index arrays equal those of the
-    last tiled chunk checked in full differs from it only in where its count pools
-    start: its cells and the steps inside it are that chunk's, so only each count
-    column's first step is checked.
-    ``freq_seq._numbered`` writes t into the row pattern, filled by the chunk's
-    gather (``_gather``, kept with a tiled shape) over its pools rendered by ``str``.
+    Row t holds trial t's cell and the counts a_k(t) of trials through t whose cell is
+    k: for ints, the bytes of ``csv.writer``, or of ``json.dumps`` on ``{"trial": t,
+    "cell": cell, "counts": [a_1, ..., a_m]}``.  A column's cells are checked as by
+    ``CellAssignment`` unless it is an ``array('I')`` equal to the last column checked
+    (in a list, 1.0 or True equals 1).  Running counts of checked cells step by 0 or 1
+    and need no check.  Each checked column gets one ``itemgetter`` of its rows from the
+    strings of ``range(m + 1)`` and of each count's ``range`` in the chunk.
     """
     if fmt == "csv":
         yield ",".join(_header(m)) + "\n"
-        pattern = "k" + ",%s" * (m + 1) + "\n"
-    else:
-        pattern = '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
-    done, ends = 0, [0] * m  # the count columns' last terms so far
-    shape = None  # the last tiled chunk checked in full: (pool lengths, index copies)
-    for chunk in chunks:
-        start, done = done, done + len(chunk[0][1])
-        lens = [len(ints) for ints, _ in chunk]
-        if shape and lens == shape[0] and _tiled(chunk, m) and all(
-                map(eq, [idx for _, idx in chunk], shape[1])):
-            for first, end in zip([ints[idx[0]] for ints, idx in chunk[1:]], ends):
-                check_steps((first,), end, start)
-            ends = [ints[idx[-1]] for ints, idx in chunk[1:]]
-        else:
-            _check_cells(_terms(*chunk[0]), m, start)
-            ends = [check_steps(_terms(*pair), end, start) for pair, end in zip(chunk[1:], ends)]
-            shape = gather = None  # the last chunk's gather goes before this chunk's is built
-            gather = _gather(chunk, lens)
-            if _tiled(chunk, m) and done > start:  # copies of the index arrays: the chunk is not kept
-                shape = lens, [idx[:] for _, idx in chunk]
-        values = gather(list(map(str, chain.from_iterable(ints for ints, _ in chunk))))
-        del chunk  # fill the rows without the int pools, and read on without them
-        text = freq_seq._numbered(start + 1, done + 1, pattern) % values
-        del values
+    done, counts, last = 0, [0] * m, None  # rows and a_1, ..., a_m so far; the last column checked
+    for column in filter(len, columns):  # a column without rows writes nothing
+        start, done = done, done + len(column)
+        if not (type(column) is array and column.typecode == "I" and column == last):
+            _check_cells(column, m, start)
+            last = gather = None  # the last column's copy and gather go before this one's are built
+            steps = [array("I", accumulate(map(eq, column, repeat(k)))) for k in range(1, m + 1)]
+            sizes = [idx[-1] + 1 for idx in steps]  # each count's values in the chunk
+            picks = [map(list(range(lo, lo + size)).__getitem__, idx)  # one int per pool place
+                     for idx, lo, size in zip(steps, accumulate(sizes, initial=m + 1), sizes)]
+            gather = itemgetter(*chain.from_iterable(zip(column, *picks)))
+            del steps, picks  # keep the gather alone, without its index arrays and pool places
+            last = column[:]
+        del column  # read on without the chunk
+        pools = [range(a, a + size) for a, size in zip(counts, sizes)]
+        counts = [pool[-1] for pool in pools]
+        text = freq_seq._numbered(start + 1, done + 1, _pattern(m, fmt)) % gather(
+            list(map(str, chain(range(m + 1), *pools))))
         yield text
         del text
 
 
-def _terms(ints: Sequence[int], idx: Iterable[int]) -> list[int]:
-    return list(map(ints.__getitem__, idx))
-
-
-def _tiled(chunk: list, m: int) -> bool:
-    """Whether a chunk is tiled as ``_chunks`` tiles it: every pool a ``range`` of
-    step 1, the cells' ``range(m + 1)``."""
-    pools = [ints for ints, _ in chunk]
-    return pools[0] == range(m + 1) and all(type(ints) is range and ints.step == 1 for ints in pools)
-
-
-def _gather(chunk: list, lens: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
-    """One ``itemgetter`` that takes a checked chunk's values row by row from its
-    pools concatenated (none for a chunk without rows); the indices of a column
-    share one int per pool place."""
-    columns = [map(list(range(lo, lo + size)).__getitem__, idx)
-               for (_, idx), lo, size in zip(chunk, accumulate(lens, initial=0), lens)]
-    picks = [*chain.from_iterable(zip(*columns, strict=True))]
-    return itemgetter(*picks) if picks else lambda strings: ()
+def _pattern(m: int, fmt: str) -> str:
+    """The row pattern for ``freq_seq._numbered``: t at k, then the cell and a_1, ..., a_m."""
+    if fmt == "csv":
+        return "k" + ",%s" * (m + 1) + "\n"
+    return '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
 
 
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
-    """CSV with columns t, assigned_cell, a_1, ..., a_m: ``cell_chunks`` of the table."""
-    columns, size = [assignment.entries, *(seq.terms for seq in sequences)], freq_seq.ROWS_PER_CHUNK
+    """The CSV of ``cell_chunks`` for a table, a ``ROWS_PER_CHUNK`` slice at a time.
+    Its columns were checked when they were built; its counts need not agree with its cells."""
+    n, m, size = len(assignment), len(sequences), freq_seq.ROWS_PER_CHUNK
+    if m != assignment.cell_count:
+        raise ValueError("one sequence per cell is required")
+    columns = [assignment.entries, *(seq.terms for seq in sequences)]
     if len(set(map(len, columns))) > 1:
         raise ValueError("cell sequences must share one length")
-    chunks = ([(c[lo:lo + size], range(min(size, len(assignment) - lo))) for c in columns]
-              for lo in range(0, len(assignment), size))
-    return "".join(cell_chunks(chunks, len(sequences), "csv"))
+    rows = (freq_seq._numbered(lo + 1, min(lo + size, n) + 1, _pattern(m, "csv"))
+            % tuple(chain.from_iterable(zip(*(column[lo:lo + size] for column in columns))))
+            for lo in range(0, n, size))
+    return ",".join(_header(m)) + "\n" + "".join(rows)
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:
@@ -412,14 +389,12 @@ def _table_by_cells(text: str) -> tuple[CellAssignment, list[CumulativeSequence]
         cells = list(map(int, texts))
     except (IndexError, ValueError):  # a short row, an empty field, a huge number
         return None
-    columns = [tuple(islice(accumulate(map(eq, cells, repeat(k)), initial=0), 1, None))
-               for k in range(1, m + 1)]
+    sequences = _count_sequences(cells, m)
     pool = list(map(str, range(len(rows) + 1)))
-    counts = (map(pool.__getitem__, column) for column in columns)
+    counts = (map(pool.__getitem__, seq.terms) for seq in sequences)
     if not all(map(eq, map(",".join, zip(pool[1:], texts, *counts)), rows)):
         return None
-    # each column: running counts of 0/1 steps from 0, a cumulative-success sequence of ints
-    return CellAssignment(cells, m), [_unchecked(CumulativeSequence, "terms", c) for c in columns]
+    return CellAssignment(cells, m), sequences
 
 
 def _table_by_rows(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:

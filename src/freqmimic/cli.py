@@ -5,10 +5,9 @@ Output is a pure function of the flags (seeds included), so repeated runs
 are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
 alone (k is their position), each written a checked chunk at a time.
 gen-dist takes each trial's cell from the greedy loop, run for one period and
-repeated when the period fits a chunk, and derives the counts from the cells,
-in column chunks: the first chunk of each shape is checked in full, a later one
-where it meets the chunk before, and each shape fills its rows with one
-gather.  These four verbs write every row and trial number through one
+repeated when the period fits a chunk, in chunks of cells alone: each count is
+the running count of its cell, and a chunk equal to the last one checked reuses
+its check and its gather.  These four verbs write every row and trial number through one
 renderer, ``freq_seq._numbered``.  compare takes the designed stream's counts
 from their closed form and counts the generated stream in packed chunks as it
 is drawn.  So memory does not grow with --n; flags are checked before the first row.

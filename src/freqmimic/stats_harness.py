@@ -331,35 +331,38 @@ REPORT_CSV_HEADER = (
 )
 
 
+def _report_row(r: TestReport) -> str:
+    return (f"{r.test},{r.stream},{r.statistic!r},{r.alpha!r},"
+            f"{'true' if r.passed else 'false'},{r.n},"
+            f"{'' if r.seed is None else r.seed},{r.prng_version or ''}\n")
+
+
 def reports_csv(reports: Sequence[TestReport]) -> str:
-    rows = [
-        f"{r.test},{r.stream},{r.statistic!r},{r.alpha!r},"
-        f"{'true' if r.passed else 'false'},{r.n},"
-        f"{'' if r.seed is None else r.seed},{r.prng_version or ''}\n"
-        for r in reports
-    ]
-    return ",".join(REPORT_CSV_HEADER) + "\n" + "".join(rows)
+    return ",".join(REPORT_CSV_HEADER) + "\n" + "".join(map(_report_row, reports))
 
 
 def reports_from_csv(text: str) -> list[TestReport]:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or tuple(lines[0].split(",")) != REPORT_CSV_HEADER:
+    """Parse ``reports_csv`` output back: each row must render back as written, and
+    every line must end in a newline; anything else raises ``ValueError`` naming the row."""
+    lines = text.split("\n")
+    if len(lines) == 1 or tuple(lines[0].split(",")) != REPORT_CSV_HEADER:
         raise ValueError("missing report CSV header")
     out = []
-    for line in lines[1:]:
-        test, stream, statistic, alpha, passed, n, seed, version = line.split(",")
+    for k, line in enumerate(lines[1:-1], 1):
+        fields = line.split(",")
+        if len(fields) != len(REPORT_CSV_HEADER):
+            raise ValueError(f"inconsistent report CSV row {k}")
+        test, stream, statistic, alpha, passed, n, seed, version = fields
         if passed not in ("true", "false"):
             raise ValueError(f"pass must be 'true' or 'false', got {passed!r}")
-        out.append(
-            TestReport(
-                test=test,
-                stream=stream,
-                statistic=float(statistic),
-                alpha=float(alpha),
-                passed=passed == "true",
-                n=int(n),
-                seed=int(seed) if seed else None,
-                prng_version=version or None,
-            )
-        )
+        try:
+            report = TestReport(test, stream, float(statistic), float(alpha), passed == "true",
+                                int(n), int(seed) if seed else None, version or None)
+        except ValueError:  # a field that no report renders, such as "x" for a number
+            report = None
+        if report is None or _report_row(report) != line + "\n":
+            raise ValueError(f"inconsistent report CSV row {k}")
+        out.append(report)
+    if lines[-1]:  # the last row has no final newline
+        raise ValueError(f"inconsistent report CSV row {len(lines) - 1}")
     return out

@@ -472,6 +472,17 @@ def test_cell_csv_rejects_columns_of_unequal_length():
             cell_csv(*table)
 
 
+@pytest.mark.parametrize("table", [
+    (CellAssignment((1, 1), 2), [CumulativeSequence((1, 2)), CumulativeSequence((0, 0)),
+                                 CumulativeSequence((0, 0))]),  # one sequence more than cells
+    (CellAssignment((1, 2), 2), [CumulativeSequence((1, 1))]),  # one fewer
+])
+def test_cell_csv_needs_one_sequence_per_cell(table):
+    # a table with another number of sequences than cells would not read back as itself
+    with pytest.raises(ValueError, match="^one sequence per cell is required$"):
+        cell_csv(*table)
+
+
 def test_cell_table_from_csv_rejects_corruption():
     assignment, sequences = build_cell_sequences(QUARTERS, 3)
     text = cell_csv(assignment, sequences)
@@ -658,6 +669,7 @@ def test_trials_and_a_consistent_table_are_built_without_their_checks():
             mock.patch.object(freq_seq, "check_cumulative_form", side_effect=AssertionError):
         assert trials_to_tuples(assignment, 3) == trials
         assert cell_table_from_csv(text) == (assignment, sequences)
+        assert build_cell_sequences((F(1, 6), F(1, 3), F(1, 2)), 200) == (assignment, sequences)
         with pytest.raises(AssertionError):  # the per-row route checks every column
             cell_dist._table_by_rows(text)
         with pytest.raises(AssertionError):  # and the oracle every statement

@@ -276,3 +276,21 @@ def test_reports_from_csv_rejects_non_boolean_pass(field):
     fields[4] = field
     with pytest.raises(ValueError):
         reports_from_csv("\n".join([header, ",".join(fields), *rest]) + "\n")
+
+
+@pytest.mark.parametrize("edit, row", [
+    (lambda t: t.replace(",100,", ",1_00,", 1), 1),  # int() reads 100; the writer never writes it
+    (lambda t: t.replace(",100,42,", ",+100,42,", 1), 3),
+    (lambda t: t.replace(",0.01,", ",1e-2,", 1), 1),
+    (lambda t: t.replace(",42,", ",042,", 1), 3),
+    (lambda t: t.replace("\nruns,", "\n\nruns,", 1), 2),  # a blank line
+    (lambda t: t.replace(",42,splitmix64-v1\n", ",42\n", 1), 3),  # a short row
+    (lambda t: t.replace(",,\n", ",,,\n", 1), 1),  # a long row
+    (lambda t: t[:-1], 4),  # no final newline
+    (lambda t: t + "\n", 5),
+])
+def test_reports_from_csv_names_a_row_the_writer_never_writes(edit, row):
+    text = reports_csv(compare(to_binary(canonical_prefix(F(1, 2), 100)), F(1, 2), 42, 0.01))
+    assert edit(text) != text
+    with pytest.raises(ValueError, match=f"^inconsistent report CSV row {row}$"):
+        reports_from_csv(edit(text))

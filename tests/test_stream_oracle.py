@@ -20,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import re
 import subprocess
 import sys
@@ -534,46 +533,6 @@ def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         got = outcome(lambda: "".join(sequence_chunks(terms, fmt)))
     assert got == expected
-
-
-def oracle_cell_chunks(rows, m, chunk, fmt):
-    """The row writer's text of each chunk of ``chunk`` rows, ended by the first
-    chunk whose cells through it are not a ``CellAssignment`` or one of whose
-    count columns through it is not a ``CumulativeSequence``: (texts, error or None)."""
-    texts = []
-    for end in range(chunk, len(rows) + chunk, chunk):
-        error = outcome(lambda: CellAssignment([row[1] for row in rows[:end]], m))
-        for k in range(2, m + 2):
-            if error[0] == "ok":
-                error = outcome(lambda: CumulativeSequence([row[k] for row in rows[:end]]))
-        if error[0] != "ok":
-            return texts, error
-        texts.append(old_cell_writer(rows[end - chunk:end], m, fmt, header=False))
-    return texts, None
-
-
-def pooled(column):
-    """A column as a pool of its distinct values and indices into it."""
-    ints = sorted(set(column))
-    return ints, [ints.index(value) for value in column]
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), m=st.integers(min_value=1, max_value=4), chunk=any_chunk,
-       fmt=st.sampled_from(["csv", "json"]))
-def test_cell_chunks_raise_each_columns_sequence_error(data, m, chunk, fmt):
-    """Cells and every count column fail as the materialized table would, chunk by chunk."""
-    n = data.draw(st.integers(min_value=1, max_value=150))
-    cells = data.draw(st.lists(st.sampled_from([*range(1, m + 1)] * 20 + [0, m + 1]),
-                               min_size=n, max_size=n))
-    steps = st.lists(st.sampled_from([0, 1] * 6 + [2, -1]), min_size=n, max_size=n)
-    columns = [cells] + [list(itertools.accumulate(data.draw(steps))) for _ in range(m)]
-    chunks = [[pooled(column[lo:lo + chunk]) for column in columns] for lo in range(0, n, chunk)]
-    texts = []
-    error = outcome(lambda: texts.extend(cell_dist.cell_chunks(iter(chunks), m, fmt)))
-    got = (texts[1:] if fmt == "csv" else texts), None if error[0] == "ok" else error
-    rows = list(zip(range(1, n + 1), *columns))
-    assert got == oracle_cell_chunks(rows, m, chunk, fmt)
 
 
 def test_cumulative_form_check_takes_steps_of_exactly_0_or_1():
@@ -1245,24 +1204,8 @@ def test_gen_dist_stream_matches_materialized_oracle(text, n, fmt, chunk):
         probs = cell_dist.parse_probability_vector(text)
         table = cell_dist.build_cell_sequences(probs, n)
         assert table == oracle_build_cell_sequences(probs, n)
+        assert {type(a) for seq in table[1] for a in seq.terms} <= {int}  # exact ints, not bools
         assert cell_dist.cell_csv(*table) == oracle_cell_csv(*table)
-
-
-def _faulty_rows(probs, n, fault, at):
-    """The oracle's rows (t, cell, a_1, ..., a_m) with one fault at row ``at``."""
-    assignment, sequences = oracle_build_cell_sequences(probs, n)
-    rows = [list(row) for row in zip(range(1, n + 1), assignment.entries,
-                                     *(seq.terms for seq in sequences))]
-    m = len(probs)
-    column = rows[at][1] + 1  # the count that steps up at this row
-    if fault == "cell 0":
-        rows[at][1] = 0
-    elif fault == "cell m+1":
-        rows[at][1] = m + 1
-    else:  # shift the column from this row on: its step here becomes 2 or -1
-        for row in rows[at:]:
-            row[column] += 1 if fault == "step 2" else -2
-    return [tuple(row) for row in rows]
 
 
 @st.composite
@@ -1293,10 +1236,14 @@ def test_gen_dist_tiles_match_the_loop_and_row_writer(case, fmt):
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         assert run_main_err(argv) == (0, old_cell_writer(rows, len(probs), fmt), "")
         chunks = list(cell_dist.cell_column_chunks(probs, n))
-    assert decoded_rows(chunks) == [row[1:] for row in rows]
-    # one chunk form on both sides of den: range pools, array('I') indices
-    assert all(cell_dist._tiled(chunk, len(probs)) for chunk in chunks)
-    assert all(type(idx) is array.array and idx.typecode == "I" for chunk in chunks for _, idx in chunk)
+    assert decoded_rows(chunks, len(probs)) == [row[1:] for row in rows]
+    # one chunk form on both sides of den: an array('I') of cells
+    assert all(type(column) is array.array and column.typecode == "I" for column in chunks)
+    den = math.lcm(*(p.denominator for p in probs))
+    if den <= chunk:  # every chunk but the last is the one tile of whole periods
+        tile = chunk // den * den
+        assert all(len(column) == tile for column in chunks[:-1])
+        assert len({id(column) for column in chunks if len(column) == tile}) <= 1
 
 
 @pytest.mark.parametrize("probs, n", [
@@ -1318,59 +1265,52 @@ def test_a_period_that_ends_off_its_shares_raises():
             next(cell_dist.cell_column_chunks([F(1, 4), F(3, 4)], 9))
 
 
-def decoded_rows(chunks):
-    """The rows (cell, a_1, ..., a_m) that column chunks stand for."""
-    columns = ([[ints[i] for i in idx] for ints, idx in chunk] for chunk in chunks)
-    return [row for chunk in columns for row in zip(*chunk)]
+def decoded_rows(chunks, m):
+    """The rows (cell, a_1, ..., a_m) that cell columns stand for: a_k counts the cells k so far."""
+    cells = list(itertools.chain(*chunks))
+    counts = [list(itertools.accumulate(int(cell == k) for cell in cells)) for k in range(1, m + 1)]
+    return list(zip(cells, *counts))
 
 
-def _corrupted(chunks, rows):
-    """Column chunks with every value that differs from ``rows`` (t, cell, a_1,
-    ..., a_m) appended to its column's pool and indexed there instead."""
+def _corrupted(columns, cells):
+    """Cell columns with each one that differs from its slice of ``cells`` replaced by
+    that slice, a new array: the full chunks of a tiled run are one object."""
     done = 0
-    for chunk in chunks:
-        out = []
-        for field, (ints, idx) in enumerate(chunk, 1):
-            ints, idx = list(ints), list(idx)
-            for i, want in enumerate(row[field] for row in rows[done:done + len(idx)]):
-                if ints[idx[i]] != want:
-                    idx[i] = len(ints)
-                    ints.append(want)
-            out.append((ints, idx))
-        done += len(idx)
-        yield out
+    for column in columns:
+        want = array.array("I", cells[done:done + len(column)])
+        done += len(column)
+        yield column if column == want else want
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     probs=cell_vectors,
     n=st.integers(min_value=1, max_value=120),
-    fault=st.sampled_from(["cell 0", "cell m+1", "step 2", "decrease"]),
+    fault=st.sampled_from(["cell 0", "cell m+1"]),
     at=st.integers(min_value=0, max_value=119),
     fmt=st.sampled_from(["csv", "json"]),
     chunk=any_chunk,
 )
-@example(probs=[F(1, 6), F(1, 3), F(1, 2)], n=100, fault="decrease", at=70, fmt="csv", chunk=24)
+@example(probs=[F(1, 6), F(1, 3), F(1, 2)], n=100, fault="cell m+1", at=70, fmt="csv", chunk=24)
 def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fmt, chunk):
-    # The fault goes into the column chunks gen-dist generates, tiled from one
+    # The fault goes into the cell columns gen-dist generates, tiled from one
     # period when the period fits a chunk, at any row: past the first period
-    # and past a chunk boundary too.
-    rows = _faulty_rows(probs, n, fault, at % n)
+    # and past a chunk boundary too.  Counts derived from cells cannot be faulty.
     m = len(probs)
-    _, cells, *columns = zip(*rows)
-    expected = outcome(
-        lambda: (CellAssignment(cells, m), [CumulativeSequence(col) for col in columns])
-    )
-    assert expected[0] is ValueError
+    assignment, sequences = oracle_build_cell_sequences(probs, n)
+    cells = list(assignment.entries)
+    cells[at % n] = 0 if fault == "cell 0" else m + 1
+    expected = outcome(lambda: (CellAssignment(cells, m), sequences))
+    assert expected == (ValueError, f"trial {at % n + 1} assigned outside 1..{m}")
     argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
     generate = cell_dist._chunks
     with mock.patch.object(cell_dist, "_chunks",
-                           lambda den, nums, n: _corrupted(generate(den, nums, n), rows)), \
+                           lambda den, nums, n: _corrupted(generate(den, nums, n), cells)), \
             mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         code, _, err = run_main_err(argv)
         assert outcome(lambda: cell_dist.build_cell_sequences(probs, n)) == expected
-        injected = decoded_rows(cell_dist.cell_column_chunks(probs, n))
-    assert injected == [row[1:] for row in rows]
+        injected = list(itertools.chain(*cell_dist.cell_column_chunks(probs, n)))
+    assert injected == cells
     assert (code, err) == (2, f"error: {expected[1]}\n")
 
 
@@ -1384,118 +1324,19 @@ def test_cell_stream_check_raises_the_materialized_error(probs, n, fault, at, fm
 @example(cells=[1, 2, 9, 1.0], chunk=2, fmt="csv")  # out of range, then a float, in chunk 2
 @example(cells=[1, 2.0, 9, 1], chunk=2, fmt="csv")  # a float in chunk 1, out of range in chunk 2
 @example(cells=[True], chunk=1, fmt="json")
+@example(cells=[1, 1.0], chunk=1, fmt="csv")  # a float equal to the cell checked before it
 def test_cell_chunks_raise_the_assignment_error_for_cells_that_are_not_ints(cells, chunk, fmt):
     # A stream of cells fails where ``CellAssignment`` fails: at the first trial
-    # whose cell is not an int, or is an int outside 1..m.  The count columns
-    # (a_1 = t, a_2 = a_3 = 0) are well formed, so only the cells can fail.
+    # whose cell is not an int, or is an int outside 1..m.  Lists of equal cells
+    # (1, 1.0, True) are each checked.
     expected = outcome(lambda: CellAssignment(cells, 3))
     assert (expected[0] is ValueError) == any(type(c) is not int or not 1 <= c <= 3 for c in cells)
-
-    def column_chunk(lo):
-        rows = range(len(cells[lo:lo + chunk]))
-        return [(cells[lo:lo + chunk], rows), (range(lo + 1, lo + 1 + len(rows)), rows),
-                ([0], [0] * len(rows)), ([0], [0] * len(rows))]
-
-    chunks = map(column_chunk, range(0, len(cells), chunk))
+    chunks = (cells[lo:lo + chunk] for lo in range(0, len(cells), chunk))
     got = outcome(lambda: "".join(cell_dist.cell_chunks(chunks, 3, fmt)))
-    assert got[0] == expected[0]
-    if got[0] is ValueError:
-        assert got == expected
-
-
-def oracle_full_check_chunks(chunks, m, fmt):
-    """``cell_chunks`` as it was before tiled chunks were checked once per shape:
-    every chunk gets the full check, and its columns' strings are interleaved."""
-    if fmt == "csv":
-        yield ",".join(cell_dist._header(m)) + "\n"
-        pattern = "k" + ",%s" * (m + 1) + "\n"
-    else:
-        pattern = '{"trial": k, "cell": %s, "counts": [' + ", ".join(["%s"] * m) + "]}\n"
-    done, ends = 0, [0] * m  # the count columns' last terms so far
-    for chunk in chunks:
-        ints, idx = chunk[0]
-        start, done = done, done + len(idx)
-        cell_dist._check_cells(list(map(ints.__getitem__, idx)), m, start)
-        ends = [freq_seq.check_steps(list(map(ints.__getitem__, idx)), end, start)
-                for (ints, idx), end in zip(chunk[1:], ends)]
-        rows = zip(*[map(list(map(str, ints)).__getitem__, idx) for ints, idx in chunk], strict=True)
-        del chunk, ints, idx  # fill the rows without the int pools, and read on without them
-        text = freq_seq._numbered(start + 1, done + 1, pattern) % tuple(itertools.chain.from_iterable(rows))
-        del rows
-        yield text
-        del text
-
-
-def planted(chunks, at, fault, column, pos, delta):
-    """The column chunks with one fault in chunk ``at``, column ``column``
-    (0 is the cells): a changed index, one index more or fewer, a shifted pool,
-    a pool of another length or of step 2.  Chunks share their index arrays, so a
-    changed one is a copy."""
-    for i, chunk in enumerate(chunks):
-        if i == at:
-            chunk = list(chunk)
-            ints, idx = chunk[column]
-            if fault == "index":
-                idx = array.array("I", idx)
-                idx[pos % len(idx)] = max(0, idx[pos % len(idx)] + delta)
-            elif fault == "index count":  # a repeated last index keeps every step
-                idx = array.array("I", idx[:-1] if delta < 0 else [*idx, idx[-1]])
-            elif fault == "pool start":
-                ints = range(ints.start + delta, ints.stop + delta)
-            elif fault == "pool length":
-                ints = range(ints.start, max(ints.start, ints.stop + delta))
-            else:
-                ints = range(ints.start, ints.start + 2 * len(ints), 2)
-            chunk[column] = (ints, idx)
-        yield chunk
-
-
-def texts_and_error(stream):
-    """The texts a stream yields up to its error, and that error's type and message."""
-    texts = []
-    try:
-        texts.extend(stream)
-    except (ValueError, IndexError) as exc:
-        return texts, (type(exc), str(exc))
-    return texts, None
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    weights=cell_weights,
-    periods=st.integers(min_value=1, max_value=3),
-    chunks=st.integers(min_value=2, max_value=5),
-    short=st.integers(min_value=0, max_value=9),
-    fault=st.sampled_from(["index", "index count", "pool start", "pool length", "pool step"]),
-    at=st.integers(min_value=1, max_value=4),
-    column=st.integers(min_value=0, max_value=6),
-    pos=st.integers(min_value=0, max_value=10**4),
-    delta=st.sampled_from([-2, -1, 1, 2]),
-    fmt=st.sampled_from(["csv", "json"]),
-)
-@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="pool start", at=2, column=3,
-         pos=0, delta=1, fmt="csv")  # a junction step of 2 in the last full chunk
-@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="pool start", at=1, column=0,
-         pos=0, delta=-1, fmt="json")  # cells read from range(-1, 3): a cell of 0
-@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="index count", at=3, column=2,
-         pos=0, delta=1, fmt="csv")  # the first chunk's a_2 one index longer than its cells: ValueError
-@example(weights=[1, 2, 3], periods=2, chunks=3, short=0, fault="index count", at=3, column=1,
-         pos=0, delta=-1, fmt="json")  # and its a_1 one shorter
-def test_tiled_chunks_checked_once_fail_as_the_full_check(
-    weights, periods, chunks, short, fault, at, column, pos, delta, fmt
-):
-    # Real tiled chunks of ``chunks`` full chunks and a short one, with a fault
-    # planted in a later chunk: the check-once path writes the same texts and
-    # raises the same error, at the same row, as the full check of every chunk.
-    probs = [F(w, sum(weights)) for w in weights]
-    m = len(probs)
-    den = math.lcm(*(p.denominator for p in probs))
-    n = chunks * periods * den + short % den
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", periods * den):
-        tiles = list(cell_dist.cell_column_chunks(probs, n))
-    fault_at = (at % len(tiles), fault, column % (m + 1), pos, delta)
-    expected = texts_and_error(oracle_full_check_chunks(planted(tiles, *fault_at), m, fmt))
-    assert texts_and_error(cell_dist.cell_chunks(planted(tiles, *fault_at), m, fmt)) == expected
+    if got[0] == "ok":
+        rows = [(t, *row) for t, row in enumerate(decoded_rows([cells], 3), 1)]
+        expected = ("ok", old_cell_writer(rows, 3, fmt))
+    assert got == expected
 
 
 @pytest.mark.parametrize("n", [6 * 6 * 5, 6 * 6 * 5 + 4])
@@ -1507,6 +1348,21 @@ def test_tiled_chunks_get_the_full_check_once_per_shape(n):
         got = "".join(cell_dist.cell_chunks(cell_dist.cell_column_chunks(probs, n), 3, "csv"))
     assert got == old_cell_writer(loop_rows(probs, n), 3, "csv")
     assert spy.call_count == (1 if n % 36 == 0 else 2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_column_changed_in_place_after_its_check_is_checked_again(fmt):
+    column = array.array("I", [1, 2, 3] * 4)
+
+    def columns():
+        yield column
+        column[5] = 4  # trial 12 + 6, out of 1..3
+        yield column
+
+    cells = [1, 2, 3] * 4 + [1, 2, 3, 1, 2, 4] + [1, 2, 3] * 2
+    expected = outcome(lambda: CellAssignment(cells, 3))
+    assert expected == (ValueError, "trial 18 assigned outside 1..3")
+    assert outcome(lambda: "".join(cell_dist.cell_chunks(columns(), 3, fmt))) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -1723,20 +1579,16 @@ def probed_rows(rows, chunk, held, tail=0):
 
 
 def probed_chunks(chunks, held):
-    """Yield column ``chunks``; as each chunk after the first is pulled, append
-    to ``held`` the references the consumer still holds to the chunk before,
-    its columns and their pools and indices (CPython reference counts)."""
+    """Yield cell ``chunks``; as each chunk after the first is pulled, append to
+    ``held`` the references the consumer still holds to the chunk before (CPython
+    reference counts; the full chunks of a tiled run are one array)."""
     chunks = list(chunks)
-
-    def refs(chunk):
-        return [sys.getrefcount(part) for part in [chunk, *chunk, *itertools.chain(*chunk)]]
-
-    before = [refs(chunks[i]) for i in range(len(chunks))]
+    before = list(map(sys.getrefcount, chunks))
 
     def pull():
         for i in range(len(chunks)):
             if i:
-                held.append(sum(map(operator.sub, refs(chunks[i - 1]), before[i - 1])))
+                held.append(sys.getrefcount(chunks[i - 1]) - before[i - 1])
             yield chunks[i]
 
     return pull()
