@@ -2,8 +2,11 @@
 
 Verbs: gen-seq, gen-nonconv, gen-dist, realize, check-axioms, compare.
 Output is a pure function of the flags (seeds included), so repeated runs
-are byte-identical.  gen-seq, gen-nonconv and realize stream the terms a(k)
-alone (k is their position), each written a checked chunk at a time.
+are byte-identical.  gen-seq and gen-nonconv write each chunk of rows from the
+offsets a(k) - a0 of its terms above its first term a0 (k is the row's
+position): gen-seq takes them from the closed form floor(k*p), gen-nonconv from
+its phases, checked once where they join, so no term is checked again.  Each
+row's one slot is filled from a pool of the chunk's value texts.  realize streams the terms a(k) a checked chunk at a time.
 gen-dist takes each trial's cell from the greedy loop, run for one period and
 repeated when the period fits a chunk, in chunks of cells alone: each count is
 the running count of its cell, and a chunk equal to the last one checked reuses
@@ -104,8 +107,7 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
 def _cmd_gen_seq(args: argparse.Namespace) -> int:
     from . import freq_seq
     p = freq_seq.parse_probability(args.p)
-    terms = freq_seq.canonical_terms(p, args.n, args.m)
-    sys.stdout.writelines(freq_seq.sequence_chunks(terms, args.format))
+    sys.stdout.writelines(freq_seq.canonical_chunks(p, args.n, args.m, args.format))
     return 0
 
 
@@ -113,8 +115,7 @@ def _cmd_gen_nonconv(args: argparse.Namespace) -> int:
     from . import freq_seq
     low = freq_seq.parse_probability(args.low)
     high = freq_seq.parse_probability(args.high)
-    terms = freq_seq.nonconvergent_terms(low, high, args.n)
-    sys.stdout.writelines(freq_seq.sequence_chunks(terms, args.format))
+    sys.stdout.writelines(freq_seq.nonconvergent_chunks(low, high, args.n, args.format))
     return 0
 
 

@@ -7,8 +7,12 @@ frequency within 1/k of p at every trial k; companion constructions give
 distinct sequences with the same limit, frozen tails, and oscillating
 frequencies that never converge.  ``BinaryTrialSequence`` holds the 0/1
 steps.  All core arithmetic is exact: p is a ``fractions.Fraction`` and
-comparisons use integer cross-multiplication.  ``sequence_from_csv`` reads
-only the layout ``sequence_csv`` writes, a piece of text at a time.
+comparisons use integer cross-multiplication, and every term is an exact
+``int``.  The writers fill each row's one slot from a chunk's pool of value
+texts; the generated streams (``canonical_chunks``, ``nonconvergent_chunks``)
+are unit-step by construction and skip the per-term check that
+``sequence_chunks`` makes.  ``sequence_from_csv`` reads only the layout
+``sequence_csv`` writes, a piece of text at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +75,14 @@ def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
     return _first_non_bit(list(map(sub, terms, chain((prev,), terms))))
 
 
+def _typed(terms: Sequence) -> Sequence:
+    """The longest prefix of ``terms`` that holds exact ints alone (``terms`` itself if
+    all are): the step checks count ``True`` and ``1.0`` as 1, so they see only this."""
+    if countOf(map(type, terms), int) == len(terms):
+        return terms
+    return terms[:next(i for i, term in enumerate(terms) if type(term) is not int)]
+
+
 def _form_error(index: int) -> ValueError:
     return ValueError(f"not a cumulative-success sequence at index {index}")
 
@@ -83,15 +95,16 @@ def check_cumulative_form(terms: Iterable[int]) -> FormCheck:
 
 @dataclass(frozen=True)
 class CumulativeSequence:
-    """An immutable success-count prefix a(1), ..., a(n)."""
+    """An immutable success-count prefix a(1), ..., a(n) of exact ints."""
 
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        ok, index = check_cumulative_form(self.terms)
-        if not ok:
-            raise _form_error(index)
+        typed = _typed(self.terms)
+        ok, index = check_cumulative_form(typed)
+        if not ok or len(typed) < len(self.terms):
+            raise _form_error(index or len(typed) + 1)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -109,10 +122,13 @@ class BinaryTrialSequence:
     def __post_init__(self) -> None:
         bits = tuple(self.bits)
         object.__setattr__(self, "bits", bits)
-        bad = _first_non_bit(bits)
-        if countOf(map(type, bits), int) != len(bits):  # countOf counts True and 1.0 as 1
+        try:  # bytes rejects floats, Fractions and values past 255 but lets True through
+            ok = not bytes(bits).translate(None, b"\0\1") and countOf(map(type, bits), int) == len(bits)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:  # name the first bad trial; countOf counts True and 1.0 as 1
+            bad = _first_non_bit(bits)
             bad = next((i for i, bit in enumerate(bits[:bad]) if type(bit) is not int), bad)
-        if bad is not None:
             raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
 
     def __len__(self) -> int:
@@ -254,13 +270,28 @@ def nonconvergent_terms(low: Fraction, high: Fraction, n: int) -> Iterator[int]:
     if n < 1:
         raise ValueError("prefix length must be positive")
     phases = _phases(low.numerator, low.denominator, high.numerator, high.denominator, n)
-    return chain.from_iterable(phases)
+    return chain.from_iterable(_joined(phases))
+
+
+def _joined(phases: Iterable[tuple[int, int, int]]) -> Iterator[Iterable[int]]:
+    """Each (first term, trials, step) phase as a ``range`` (step 1) or a ``repeat``
+    (step 0) of its terms.  By type, a phase's own terms step by 1 or by 0, so
+    only its first term can break the unit-step form: it is checked against the
+    term before it (a(0) = 0), once per phase, and a bad one raises the
+    ``CumulativeSequence`` error."""
+    prev, done = 0, 0
+    for first, trials, step in phases:
+        if not 0 <= first - prev <= 1:
+            raise _form_error(done + 1)
+        yield range(first, first + trials) if step else repeat(first, trials)
+        prev, done = first + (trials - 1 if step else 0), done + trials
 
 
 def _phases(
     low_num: int, low_den: int, high_num: int, high_den: int, n: int
-) -> Iterator[Iterable[int]]:
-    """The n terms of ``nonconvergent_terms`` a whole phase at a time.
+) -> Iterator[tuple[int, int, int]]:
+    """The n terms of ``nonconvergent_terms`` a whole phase at a time, each phase
+    as (first term, trials, step): step 1 counts up, step 0 holds.
 
     From a(k) = a, an up phase gives a + j - k at trial j and arrives at the
     first j > k with (a + j - k) * high_den >= j * high_num; a down phase
@@ -268,17 +299,17 @@ def _phases(
     Each phase is cut at trial n, so none is longer than the trials still wanted.
     """
     k, a = 1, 0
-    yield (0,)
+    yield 0, 1, 0
     while k < n:
         # high = 1 needs a >= k, and a < k: the up phase does not arrive
         up = n if high_num == high_den else -(-(k - a) * high_den // (high_den - high_num))
         j = min(n, max(k + 1, up))
-        yield range(a + 1, a + 1 + j - k)
+        yield a + 1, j - k, 1
         k, a = j, a + j - k
         # low = 0 needs a <= 0, and a >= 1 after an up phase: the down phase does not arrive
         down = n if low_num == 0 else -(-a * low_den // low_num)
         j = min(n, max(k + 1, down))
-        yield repeat(a, j - k)
+        yield a, j - k, 0
         k = j
 
 
@@ -299,27 +330,26 @@ ROWS_PER_CHUNK = 8192
 PIECE = 1 << 18  # bytes of CSV text ``sequence_from_csv`` checks at a time
 
 
-def check_steps(terms: Sequence[int], prev: int, done: int) -> int:
-    """Raise the ``CumulativeSequence`` error for the first bad one of a count
-    column's terms done + 1, done + 2, ..., term done being ``prev``; return the last."""
-    bad = _first_bad_step(terms, prev)
-    if bad is not None:
-        raise _form_error(done + bad + 1)
-    return terms[-1] if terms else prev
-
-
 def checked_chunks(terms: Iterable[int]) -> Iterator[list]:
-    """One count column's terms in lists of ``ROWS_PER_CHUNK``, each passed
-    through ``check_steps`` before it is yielded, as ``CumulativeSequence`` checks them."""
+    """One count column's terms in lists of ``ROWS_PER_CHUNK``, each checked before it
+    is yielded as ``CumulativeSequence`` checks them (exact ints, unit steps from the
+    chunk before), so a stream fails at the index where the class fails."""
     terms = iter(terms)
     done, prev = 0, 0
     while chunk := list(islice(terms, ROWS_PER_CHUNK)):
-        done, prev = done + len(chunk), check_steps(chunk, prev, done)
+        typed = _typed(chunk)
+        bad = _first_bad_step(typed, prev)
+        if bad is not None or len(typed) < len(chunk):
+            raise _form_error(done + 1 + (len(typed) if bad is None else bad))
+        done, prev = done + len(chunk), chunk[-1]
         yield chunk
-        del chunk  # read the next chunk without holding this one
+        del chunk, typed  # read the next chunk without holding this one
 
 
-_ROWS = {"csv": "k,%s,%s,k\n", "json": '{"n": k, "a": %s, "freq": [%s, k]}\n'}
+# A sequence row is its number k twice around one slot, filled with a(k)'s text
+# from a pool of a chunk's values, each written twice in place of the letter k.
+_ROW = {"csv": "k,%s,k\n", "json": '{"n": k, "a": %s, k]}\n'}
+_POOL = {"csv": "k,k\0", "json": 'k, "freq": [k\0'}
 
 
 def _numbered(lo: int, hi: int, pattern: str) -> str:
@@ -344,25 +374,71 @@ def _block(pattern: str) -> tuple[str, ...]:
     return tuple("".join(pattern.replace("k", f"k{d:02}") for d in range(100)).split("k"))
 
 
-def _rendered(terms: Sequence[int], lo: int, fmt: str) -> str:
-    """CSV or JSON rows ``lo``, ``lo + 1``, ... for the given terms."""
-    return _numbered(lo, lo + len(terms), _ROWS[fmt]) % tuple(chain.from_iterable(zip(terms, terms)))
+def _rendered(lo: int, a0: int, last: int, offsets: Iterable[int], fmt: str) -> str:
+    """CSV or JSON rows ``lo``, ``lo + 1``, ... of the terms a0 + offset, for terms
+    from a0 to ``last``: one pool of their texts, then one slot per row."""
+    pool = _numbered(a0, last + 1, _POOL[fmt]).split("\0")
+    values = tuple(map(pool.__getitem__, offsets))
+    return _numbered(lo, lo + len(values), _ROW[fmt]) % values
+
+
+def _chunk_rows(chunk: Sequence[int], lo: int, fmt: str) -> str:
+    """Rows ``lo``, ``lo + 1``, ... of a non-empty chunk of non-decreasing exact ints."""
+    return _rendered(lo, chunk[0], chunk[-1], map(sub, chunk, repeat(chunk[0])), fmt)
+
+
+def _sequence_rows(chunks: Iterable[Sequence[int]], fmt: str) -> Iterator[str]:
+    if fmt == "csv":
+        yield _CSV_HEADER_LINE
+    # chunk i starts at row 1 + i * ROWS_PER_CHUNK: only the last chunk is short
+    yield from map(_chunk_rows, chunks, count(1, ROWS_PER_CHUNK), repeat(fmt))
 
 
 def sequence_chunks(terms: Iterable[int], fmt: str) -> Iterator[str]:
     """Render a(1), a(2), ... as CSV (header first) or JSON lines, one string per checked chunk.
 
-    For ints, rows are the bytes of ``csv.writer`` on ``(k, a, a, k)`` or ``json.dumps``.
+    Rows are the bytes of ``csv.writer`` on ``(k, a, a, k)`` or ``json.dumps``.
     """
+    return _sequence_rows(checked_chunks(terms), fmt)
+
+
+def canonical_chunks(p: Fraction | int, n: int, m: int | None, fmt: str) -> Iterator[str]:
+    """``sequence_chunks(canonical_terms(p, n, m), fmt)``, each chunk from the closed form.
+
+    No term is checked.  With 0 <= num <= den, a(k) = k*num // den steps by
+    (x + num)//den - x//den, which is 0 or 1, from a(0) = 0; a frozen tail steps
+    by 0.  Rows lo, ..., hi - 1 take offsets a(k) - a0 from a0 = a(lo): with
+    r = lo*num - a0*den, a(k) - a0 = (r + (k - lo)*num) // den, a ``count``
+    from r by num, floor-divided by den.  The arguments are checked here,
+    before the first row.
+    """
+    canonical_terms(p, n, m)  # raises on bad arguments
+    p = Fraction(p)
+    return _canonical_rows(p.numerator, p.denominator, n, n if m is None else m, fmt)
+
+
+def _canonical_rows(num: int, den: int, n: int, m: int, fmt: str) -> Iterator[str]:
     if fmt == "csv":
         yield _CSV_HEADER_LINE
-    # chunk i starts at row 1 + i * ROWS_PER_CHUNK: only the last chunk is short
-    yield from map(_rendered, checked_chunks(terms), count(1, ROWS_PER_CHUNK), repeat(fmt))
+    for lo in range(1, n + 1, ROWS_PER_CHUNK):
+        hi = min(lo + ROWS_PER_CHUNK, n + 1)
+        live = max(min(hi, m + 1), lo)  # rows lo..live-1 follow k*num // den, the rest hold a(m)
+        a0 = min(lo, m) * num // den
+        yield _rendered(lo, a0, min(hi - 1, m) * num // den, chain(
+            map(floordiv, count(lo * num - a0 * den, num), repeat(den, live - lo)),
+            repeat(m * num // den - a0, hi - live)), fmt)
+
+
+def nonconvergent_chunks(low: Fraction, high: Fraction, n: int, fmt: str) -> Iterator[str]:
+    """``sequence_chunks(nonconvergent_terms(low, high, n), fmt)`` with no term checked:
+    its phases were checked where they join, and each steps by 1 or 0 by type."""
+    terms = nonconvergent_terms(low, high, n)
+    return _sequence_rows(iter(lambda: list(islice(terms, ROWS_PER_CHUNK)), []), fmt)
 
 
 def sequence_csv(seq: CumulativeSequence) -> str:
     """CSV with columns n, a_n, freq_num, freq_den (frequency unreduced)."""
-    return _CSV_HEADER_LINE + _rendered(seq.terms, 1, "csv")
+    return "".join(sequence_chunks(seq.terms, "csv"))
 
 
 def sequence_from_csv(text: str) -> CumulativeSequence:
@@ -393,7 +469,12 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
         except ValueError:  # a term past int's digit limit is no a(k) <= k; -1 fails where it does
             terms[k - 1:] = map(_digits_int, column)  # over any terms of this piece read so far
         k, start = k + len(column), end
-    return CumulativeSequence(terms)
+    bad = _first_bad_step(terms)
+    if bad is not None:
+        raise _form_error(bad + 1)
+    seq = object.__new__(CumulativeSequence)  # int() built every term: no type pass
+    object.__setattr__(seq, "terms", tuple(terms))
+    return seq
 
 
 def _digits_int(digits: str) -> int:

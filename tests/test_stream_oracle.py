@@ -26,7 +26,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from operator import add
+from operator import add, countOf
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -154,6 +154,28 @@ def oracle_sequence_json_rows(seq):
 def oracle_sequence_json(seq):
     """What the CLI printed: one ``json.dumps`` line per row."""
     return "".join(json.dumps(row) + "\n" for row in oracle_sequence_json_rows(seq))
+
+
+ORACLE_ROWS = {"csv": "k,%s,%s,k\n", "json": '{"n": k, "a": %s, "freq": [%s, k]}\n'}
+
+
+def oracle_rendered(terms, lo, fmt):
+    """The two-slot renderer the pooled one replaced: rows lo, lo + 1, ... with
+    each term's int written into both of its row's slots."""
+    values = tuple(itertools.chain.from_iterable(zip(terms, terms)))
+    return freq_seq._numbered(lo, lo + len(terms), ORACLE_ROWS[fmt]) % values
+
+
+def oracle_binary_check(bits):
+    """The three-pass ``BinaryTrialSequence`` check: 0s and 1s by ``countOf``, then
+    the exact-int type pass over the bits before the first bad value."""
+    bits = tuple(bits)
+    bad = freq_seq._first_non_bit(bits)
+    if countOf(map(type, bits), int) != len(bits):  # countOf counts True and 1.0 as 1
+        bad = next((i for i, bit in enumerate(bits[:bad]) if type(bit) is not int), bad)
+    if bad is not None:
+        raise ValueError(f"trial {bad + 1} outcome must be 0 or 1")
+    return bits
 
 
 def oracle_sequence_from_csv(text):
@@ -373,6 +395,8 @@ probabilities = st.one_of(
 )
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=300)
 cumulative = bit_lists.map(lambda bits: CumulativeSequence(tuple(itertools.accumulate(bits))))
+# Rows at which _numbered's 100-row blocks and their digit counts change.
+_EDGE_ROWS = [99, 100, 101, 999, 1000, 9_999, 10_000, 99_950]
 # Small chunks put every chunk boundary inside the drawn inputs.
 small_chunks = st.sampled_from([1, 2, 3, 7, 64])
 any_chunk = st.integers(min_value=1, max_value=64)
@@ -389,6 +413,24 @@ def test_writers_match_csv_and_json_oracles(seq, chunk):
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         assert "".join(sequence_chunks(seq.terms, "csv")) == oracle_sequence_csv(seq)
         assert "".join(sequence_chunks(seq.terms, "json")) == oracle_sequence_json(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a0=st.one_of(st.integers(min_value=0, max_value=300), st.sampled_from([9_999, 10**30])),
+    bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=400),
+    lo=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from(_EDGE_ROWS)),
+    chunk=st.one_of(small_chunks, st.just(freq_seq.ROWS_PER_CHUNK)),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_pooled_renderer_matches_the_two_slot_oracle(a0, bits, lo, chunk, fmt):
+    # any non-decreasing run of unit steps from any a0, cut into chunks from row lo
+    terms = list(itertools.accumulate(bits, initial=a0))
+    pieces = [freq_seq._chunk_rows(terms[i:i + chunk], lo + i, fmt)
+              for i in range(0, len(terms), chunk)]
+    assert "".join(pieces) == oracle_rendered(terms, lo, fmt)
+    offsets = [a - a0 for a in terms]
+    assert freq_seq._rendered(lo, a0, terms[-1], iter(offsets), fmt) == oracle_rendered(terms, lo, fmt)
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,6 +457,32 @@ def test_gen_seq_stream_matches_materialized_oracle(p, n, m, fmt, chunk):
         # main reports the error on stderr with exit 2 and writes no row.
         assert got == ("ok", (2, ""))
         assert library == expected
+
+
+_R = freq_seq.ROWS_PER_CHUNK
+
+
+@pytest.mark.parametrize("p, n, m", [
+    (F(0), 2 * _R + 3, None),  # num = 0: every offset is 0
+    (F(0), 2 * _R + 3, _R + 5),
+    (F(1), 2 * _R + 3, None),  # num = den: the offsets are the row offsets
+    (F(1), 3 * _R, 2 * _R + 7),  # the freeze inside the third chunk
+    (F(5, 11), 20_000, 9_000),  # the freeze inside the second chunk
+    (F(1, 3), 3 * _R, 3 * _R),  # a freeze at the last trial freezes nothing
+    (F(3, 2 * _R + 1), 5 * _R, None),  # den > ROWS_PER_CHUNK: at most one success a chunk
+    (F(577215, 1000003), 20_000, 12_345),
+    (F(2 * _R, 2 * _R + 1), 3 * _R + 1, None),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_seq_chunks_from_the_closed_form_match_the_oracle(p, n, m, fmt):
+    argv = ["gen-seq", "--p", str(p), "--n", str(n), "--format", fmt]
+    if m is not None:
+        argv += ["--m", str(m)]
+    expected = RENDER[fmt](oracle_gen_seq(p, n, m))
+    # generated terms are not checked again
+    with mock.patch.object(freq_seq, "checked_chunks", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_typed", side_effect=AssertionError):
+        assert run_main(argv) == (0, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -464,6 +532,40 @@ def test_nonconvergent_phases_match_the_per_trial_loop(bounds, n):
     assert tuple(enumerate(nonconvergent_terms(low, high, n), 1)) == tuple(expected)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shifted", [0, 1, 2, 5])
+def test_gen_nonconv_names_a_phase_that_starts_two_above_the_term_before(shifted, fmt):
+    real = freq_seq._phases
+
+    def phases(*args):  # phase number `shifted`, and every later one, starts 2 higher
+        for i, (first, trials, step) in enumerate(real(*args)):
+            yield first + 2 * (i >= shifted), trials, step
+
+    argv = ["gen-nonconv", "--low", "1/3", "--high", "1/2", "--n", "40", "--format", fmt]
+    with mock.patch.object(freq_seq, "_phases", phases):
+        terms = list(itertools.chain.from_iterable(
+            range(first, first + trials) if step else itertools.repeat(first, trials)
+            for first, trials, step in phases(1, 3, 1, 2, 40)))
+        expected = outcome(lambda: CumulativeSequence(terms))
+        with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 4):
+            code, out, err = run_main_err(argv)
+    assert expected[0] is ValueError
+    index = int(expected[1].rpartition(" ")[2])
+    assert (code, err) == (2, f"error: {expected[1]}\n")
+    # the chunks wholly before the bad term were written
+    assert out == RENDER[fmt](CumulativeSequence(terms[:(index - 1) // 4 * 4]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_nonconv_terms_are_not_checked_again(fmt):
+    n = 3 * _R + 5
+    expected = RENDER[fmt](oracle_build_nonconvergent(F(2, 7), F(4, 7), n))
+    with mock.patch.object(freq_seq, "checked_chunks", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_typed", side_effect=AssertionError):
+        assert run_main(["gen-nonconv", "--low", "2/7", "--high", "4/7", "--n", str(n),
+                         "--format", fmt]) == (0, expected)
+
+
 _NUMBERED_EDGES = sorted({x + d for x in (0, 99, 100, 101, 199, 200, 10_000) for d in range(-2, 3)})
 
 
@@ -489,7 +591,7 @@ def _writer_patterns():
 _WRITER_PATTERNS = _writer_patterns()
 
 
-@pytest.mark.parametrize("pattern", [*_WRITER_PATTERNS, "k,k\n"])
+@pytest.mark.parametrize("pattern", [*_WRITER_PATTERNS, "k,k\n", *ORACLE_ROWS.values()])
 def test_numbered_matches_naive_rows(pattern):
     first = _NUMBERED_EDGES[0]
     naive = [pattern.replace("k", str(k)) for k in range(first, _NUMBERED_EDGES[-1])]
@@ -513,26 +615,53 @@ def test_numbered_builds_a_pattern_block_once_and_rebuilds_an_evicted_one_unchan
 def test_writer_patterns_have_no_letter_k_but_their_number_slots():
     # _numbered writes the row number over every letter k, so a k in a key or a
     # label would be overwritten: each k must stand alone, and the rows have one
-    # number (two in the sequence rows, whose frequency is a(k)/k)
-    assert len(_WRITER_PATTERNS) == 2 + 6 + 3
+    # number.  The sequence rows have two (their frequency is a(k)/k), and so do
+    # their value pools, which write each term twice as its row's one %s slot.
+    sequence_patterns = {*freq_seq._ROW.values(), *freq_seq._POOL.values()}
+    assert len(_WRITER_PATTERNS) == 4 + 6 + 3
+    assert sequence_patterns <= set(_WRITER_PATTERNS)
     for pattern in _WRITER_PATTERNS:
         assert re.findall(r"[A-Za-z]*k[A-Za-z]*", pattern) == ["k"] * pattern.count("k"), pattern
-        assert pattern.count("k") == (2 if pattern in freq_seq._ROWS.values() else 1), pattern
+        assert pattern.count("k") == (2 if pattern in sequence_patterns else 1), pattern
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    terms=st.lists(st.integers(min_value=-2, max_value=4), max_size=40),
+    terms=st.lists(st.one_of(st.integers(min_value=-2, max_value=4),
+                             st.sampled_from([True, False, 0.0, 1.0, 2.0, F(1), F(1, 2)])),
+                   max_size=40),
     fmt=st.sampled_from(["csv", "json"]),
     chunk=small_chunks,
 )
 def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
-    """Arbitrary terms: the stream fails exactly where CumulativeSequence does."""
+    """Arbitrary terms: the stream fails exactly where CumulativeSequence does,
+    which also rejects any term that equals an int but is not one."""
     assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
     expected = outcome(lambda: RENDER[fmt](CumulativeSequence(terms)))
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         got = outcome(lambda: "".join(sequence_chunks(terms, fmt)))
     assert got == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [True, 1.0, F(1)])
+def test_stream_rejects_a_term_that_is_not_an_exact_int_where_the_class_does(bad, fmt):
+    # each of these equals 1 and steps by 0 or 1, so only the exact-int rule rejects it
+    for terms, index in [([bad], 1), ([0, bad, 1, 2], 2), ([0, 1, bad, 2], 3), ([0, 0, 1, bad], 4)]:
+        expected = (ValueError, f"not a cumulative-success sequence at index {index}")
+        assert outcome(lambda: CumulativeSequence(terms)) == expected
+        for chunk in (1, 2, 3, 64):
+            with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+                assert outcome(lambda: "".join(sequence_chunks(terms, fmt))) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.one_of(st.integers(min_value=-1, max_value=2),
+                               st.sampled_from([True, False, 0.0, 1.0, F(1), 255, 256, 2**70])),
+                     max_size=30))
+def test_binary_check_matches_the_three_pass_oracle(bits):
+    got = outcome(lambda: BinaryTrialSequence(bits).bits)
+    assert got == outcome(lambda: oracle_binary_check(bits))
 
 
 def test_cumulative_form_check_takes_steps_of_exactly_0_or_1():
@@ -1557,11 +1686,11 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
     assert large - small < 100_000, (small, large)
 
 
-def probed_rows(rows, chunk, held, tail=0):
+def probed_rows(rows, chunk, held, tail=0, skip=0):
     """Yield ``rows``; as the first row of each chunk after the first is
     pulled, append to ``held`` the references the consumer still holds to
     the rows of the chunk before, except its last ``tail`` rows (CPython
-    reference counts)."""
+    reference counts).  Chunks that start before row ``skip`` are not probed."""
     rows = list(rows)
 
     def refs(j):
@@ -1571,7 +1700,7 @@ def probed_rows(rows, chunk, held, tail=0):
 
     def pull():
         for i in range(len(rows)):
-            if i and i % chunk == 0:
+            if i - chunk >= skip and i % chunk == 0:
                 held.append(sum(refs(j) - before[j] for j in range(i - chunk, i - tail)))
             yield rows[i]
 
@@ -1594,21 +1723,21 @@ def probed_chunks(chunks, held):
     return pull()
 
 
-class _Term(int):
-    pass
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "verb", ["sequence_chunks", "cell_chunks", "long_period_cell_chunks", "trace_chunks"])
 def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
-    # Terms are distinct int objects, so each has its own reference count.  A
-    # term stream keeps the last term before the chunk it reads: its unit-step
-    # check starts there.
-    chunk, n, held = 8, 60, []
-    terms = [_Term(a) for a in canonical_terms(F(2, 5), n)]
+    # Plain ints above 256 are distinct objects (smaller ones are shared), so each
+    # probed term has its own reference count: the terms climb by one a trial to
+    # 288 and then follow the canonical 2/5 sequence for n trials, which alone are
+    # probed.  A term stream keeps the last term before the chunk it reads: its
+    # unit-step check starts there.
+    chunk, n, held, climb = 8, 60, [], 288
+    terms = [*range(1, climb + 1), *(climb + a for a in canonical_terms(F(2, 5), n))]
+    assert min(terms[climb:]) > 256 and climb % chunk == 0
     streams = {
-        "sequence_chunks": lambda: sequence_chunks(probed_rows(terms, chunk, held, 1), fmt),
+        "sequence_chunks": lambda: sequence_chunks(
+            probed_rows(terms, chunk, held, 1, climb), fmt),
         # one period of 4 rows, so 8-row chunks of two periods each
         "cell_chunks": lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 4), F(1, 2), F(1, 4)], n), held),
@@ -1618,11 +1747,11 @@ def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
         "long_period_cell_chunks": lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 9), F(8, 9)], n), held), 2, fmt,
         ),
-        "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), n, fmt),  # two passes
+        "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), len(terms), fmt),  # two passes
     }
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
             mock.patch.object(event_seq, "canonical_terms",
-                              lambda p, n: probed_rows(terms, chunk, held, 1)):
+                              lambda p, n: probed_rows(terms, chunk, held, 1, climb)):
         collections.deque(streams[verb](), maxlen=0)
     assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)
     assert set(held) == {0}, held
