@@ -31,7 +31,7 @@ from operator import add, countOf, eq, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import freq_seq
-from .freq_seq import CumulativeSequence, check_cumulative_form, parse_probability
+from .freq_seq import CumulativeSequence, _unchecked, check_cumulative_form, parse_probability
 from .language_core import Statement, StatementKind, _labeled, event, non_event, source_statement
 
 
@@ -269,14 +269,6 @@ def trials_to_tuples(assignment: CellAssignment, m: int) -> list[OneHotTrial]:
         coordinates = (no,) * (entry - 1) + (yes,) + (no,) * (m - entry)
         out.append(_unchecked(OneHotTrial, "coordinates", coordinates))
     return out
-
-
-def _unchecked(cls: type, field: str, value):
-    """A one-field frozen dataclass ``cls`` holding a value valid by construction,
-    built without its ``__post_init__`` check."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, field, value)
-    return obj
 
 
 def cell_operator_realization(

@@ -6,7 +6,9 @@ are byte-identical.  gen-seq and gen-nonconv write each chunk of rows from the
 offsets a(k) - a0 of its terms above its first term a0 (k is the row's
 position): gen-seq takes them from the closed form floor(k*p), gen-nonconv from
 its phases, checked once where they join, so no term is checked again.  Each
-row's one slot is filled from a pool of the chunk's value texts.  realize streams the terms a(k) a checked chunk at a time.
+row's one slot is filled from a pool of the chunk's value texts.  realize takes
+each trial's outcome from the closed form k*num mod den < num (p = num/den), so it
+builds no term a(k) and checks none.
 gen-dist takes each trial's cell from the greedy loop, run for one period and
 repeated when the period fits a chunk, in chunks of cells alone: each count is
 the running count of its cell, and a chunk equal to the last one checked reuses

@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import lt, mod, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .freq_seq import BinaryTrialSequence, CumulativeSequence, canonical_prefix, canonical_terms
-from .freq_seq import _numbered, checked_chunks
+from . import freq_seq
+from .freq_seq import BinaryTrialSequence, CumulativeSequence, canonical_prefix, check_canonical
+from .freq_seq import _numbered, _unchecked
 from .language_core import Statement, StatementKind, event, non_event, source_statement
 
 if TYPE_CHECKING:
@@ -59,9 +60,7 @@ def to_binary(seq: CumulativeSequence) -> BinaryTrialSequence:
 def from_binary(bits: Iterable[int]) -> CumulativeSequence:
     """Prefix sums; inverse of ``to_binary``.  The bits are checked once, not again as steps."""
     checked = BinaryTrialSequence(tuple(bits))
-    seq = object.__new__(CumulativeSequence)
-    object.__setattr__(seq, "terms", tuple(itertools.accumulate(checked.bits)))
-    return seq
+    return _unchecked(CumulativeSequence, "terms", tuple(itertools.accumulate(checked.bits)))
 
 
 def label_events(bits: BinaryTrialSequence) -> LabeledEventSequence:
@@ -110,26 +109,35 @@ def trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
     Both parts list the labeled outcomes in trial order: the trace
     ``E'_1 E_2 ...`` and the operator ``C({E'_1,E_2,...},{G})``, whose
     attachments sort by label because each label carries one outcome.  So
-    each part is rendered from its own pass of ``canonical_terms(p, n)`` in
-    ``checked_chunks`` by ``freq_seq._numbered``, trial numbers taken from
-    position, and the text equals ``realize_trace(p, n).text()`` and
+    each part is rendered a chunk of trials at a time by ``freq_seq._numbered``,
+    and the text equals ``realize_trace(p, n).text()`` and
     ``canonical_form(trace_operator(p, n))`` on two lines, or ``json.dumps``
     of ``{"trials": rows, "operator": form}`` on one.  The arguments are
     checked here, before the first chunk.
+
+    No term a(k) = floor(k*num/den) is built or checked: trial k's outcome is
+    ``k*num % den < num``.  With r = (k-1)*num mod den, 0 <= r + num < 2*den, so
+    a(k) - a(k-1) = (r + num) // den is 1 exactly when r + num >= den, and then
+    k*num mod den = r + num - den < num; otherwise it is r + num >= num.  At
+    p = 1 this reads 0 < 1 and at p = 0 it reads 0 < 0, both right.
     """
-    canonical_terms(p, n)  # raises on bad arguments
-    return _trace_chunks(p, n, fmt)
+    num, den = check_canonical(p, n)
+    return _trace_chunks(num, den, n, fmt)
 
 
-def _trace_chunks(p: Fraction | int, n: int, fmt: str) -> Iterator[str]:
+def _outcomes(num: int, den: int, lo: int, hi: int) -> Iterator[bool]:
+    """The canonical outcomes of trials lo..hi-1 for num/den (see ``trace_chunks``)."""
+    return map(lt, map(mod, map(mul, range(lo, hi), itertools.repeat(num)),
+                       itertools.repeat(den)), itertools.repeat(num))
+
+
+def _trace_chunks(num: int, den: int, n: int, fmt: str) -> Iterator[str]:
     for head, pattern, labels in _PARTS[fmt]:
         yield head
-        prev, done = 0, 0
-        for chunk in checked_chunks(canonical_terms(p, n)):
-            values = map(labels.__getitem__, map(sub, chunk, itertools.chain((prev,), chunk)))
-            lo, prev, done = done + 1, chunk[-1], done + len(chunk)
-            text = _numbered(lo, done + 1, pattern) % tuple(values)
-            del chunk, values  # build the next chunk without this one
+        for lo in range(1, n + 1, freq_seq.ROWS_PER_CHUNK):
+            hi = min(lo + freq_seq.ROWS_PER_CHUNK, n + 1)
+            outcomes = map(labels.__getitem__, _outcomes(num, den, lo, hi))
+            text = _numbered(lo, hi, pattern) % tuple(outcomes)
             yield text.lstrip(", ") if lo == 1 else text  # no separator before trial 1
-            del text
+            del text  # build the next chunk without this one
     yield "},{G})\n" if fmt == "csv" else '},{G})"}\n'

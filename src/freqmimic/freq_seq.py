@@ -9,10 +9,12 @@ frequencies that never converge.  ``BinaryTrialSequence`` holds the 0/1
 steps.  All core arithmetic is exact: p is a ``fractions.Fraction`` and
 comparisons use integer cross-multiplication, and every term is an exact
 ``int``.  The writers fill each row's one slot from a chunk's pool of value
-texts; the generated streams (``canonical_chunks``, ``nonconvergent_chunks``)
-are unit-step by construction and skip the per-term check that
-``sequence_chunks`` makes.  ``sequence_from_csv`` reads only the layout
-``sequence_csv`` writes, a piece of text at a time.
+texts.  Terms are checked once, where they enter: the generated sequences and
+streams (``canonical_prefix``, ``build_nonconvergent``, ``canonical_chunks``,
+``nonconvergent_chunks``) are unit-step by construction and are built and
+rendered unchecked, and ``sequence_csv`` renders terms its class has checked.
+``sequence_from_csv`` reads only the layout ``sequence_csv`` writes, a piece of
+text at a time.
 """
 
 from __future__ import annotations
@@ -67,12 +69,9 @@ def _first_non_bit(values: Sequence) -> int | None:
     return next(i for i, value in enumerate(values) if value not in (0, 1))
 
 
-def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
-    """0-based index of the first term not 0 or 1 above its predecessor.
-
-    ``prev`` is the term before ``terms[0]``; a(0) = 0 for a whole sequence.
-    """
-    return _first_non_bit(list(map(sub, terms, chain((prev,), terms))))
+def _first_bad_step(terms: Sequence[int]) -> int | None:
+    """0-based index of the first term not 0 or 1 above its predecessor, a(0) = 0."""
+    return _first_non_bit(list(map(sub, terms, chain((0,), terms))))
 
 
 def _typed(terms: Sequence) -> Sequence:
@@ -157,6 +156,24 @@ def frequency_points(seq: CumulativeSequence) -> list[FrequencyPoint]:
     return [FrequencyPoint(k, a) for k, a in enumerate(seq.terms, 1)]
 
 
+def _unchecked(cls: type, field: str, value):
+    """A one-field frozen dataclass ``cls`` holding a value valid by construction,
+    built without its ``__post_init__`` check."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, value)
+    return obj
+
+
+def check_canonical(p: Fraction | int, n: int, m: int | None = None) -> tuple[int, int]:
+    """p's numerator and denominator, once p, n and m pass ``canonical_terms``' checks."""
+    p = check_probability(p)
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    if m is not None and not 1 <= m <= n:
+        raise ValueError("freeze index out of range")
+    return p.numerator, p.denominator
+
+
 def canonical_terms(p: Fraction | int, n: int, m: int | None = None) -> Iterator[int]:
     """a(1), ..., a(n) of the canonical sequence tracking p.
 
@@ -167,20 +184,16 @@ def canonical_terms(p: Fraction | int, n: int, m: int | None = None) -> Iterator
     ``truncate_freeze`` does.  The arguments are checked here, before the
     first term is produced.
     """
-    p = check_probability(p)
-    if n < 0:
-        raise ValueError("prefix length must be non-negative")
-    if m is not None and not 1 <= m <= n:
-        raise ValueError("freeze index out of range")
-    num, den = p.numerator, p.denominator
+    num, den = check_canonical(p, n, m)
     trials = range(1, (n if m is None else m) + 1)
     terms = map(floordiv, map(mul, trials, repeat(num)), repeat(den))
     return terms if m is None else chain(terms, repeat(m * num // den, n - m))
 
 
 def canonical_prefix(p: Fraction | int, n: int) -> CumulativeSequence:
-    """First n terms of the canonical sequence tracking probability p."""
-    return CumulativeSequence(tuple(canonical_terms(p, n)))
+    """First n terms of the canonical sequence tracking probability p, built unchecked:
+    with 0 <= p <= 1, floor(k*p) steps by 0 or 1 from a(0) = 0 (see ``canonical_chunks``)."""
+    return _unchecked(CumulativeSequence, "terms", tuple(canonical_terms(p, n)))
 
 
 class DeviationCheck(NamedTuple):
@@ -314,8 +327,9 @@ def _phases(
 
 
 def build_nonconvergent(low: Fraction, high: Fraction, n: int) -> CumulativeSequence:
-    """The first n terms of ``nonconvergent_terms(low, high, n)``."""
-    return CumulativeSequence(tuple(nonconvergent_terms(low, high, n)))
+    """The first n terms of ``nonconvergent_terms(low, high, n)``, built unchecked:
+    ``_joined`` checks where each phase joins the last, and a phase steps by 1 or 0."""
+    return _unchecked(CumulativeSequence, "terms", tuple(nonconvergent_terms(low, high, n)))
 
 
 def count_phase_switches(seq: CumulativeSequence) -> int:
@@ -328,22 +342,6 @@ CSV_HEADER = ("n", "a_n", "freq_num", "freq_den")
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 ROWS_PER_CHUNK = 8192
 PIECE = 1 << 18  # bytes of CSV text ``sequence_from_csv`` checks at a time
-
-
-def checked_chunks(terms: Iterable[int]) -> Iterator[list]:
-    """One count column's terms in lists of ``ROWS_PER_CHUNK``, each checked before it
-    is yielded as ``CumulativeSequence`` checks them (exact ints, unit steps from the
-    chunk before), so a stream fails at the index where the class fails."""
-    terms = iter(terms)
-    done, prev = 0, 0
-    while chunk := list(islice(terms, ROWS_PER_CHUNK)):
-        typed = _typed(chunk)
-        bad = _first_bad_step(typed, prev)
-        if bad is not None or len(typed) < len(chunk):
-            raise _form_error(done + 1 + (len(typed) if bad is None else bad))
-        done, prev = done + len(chunk), chunk[-1]
-        yield chunk
-        del chunk, typed  # read the next chunk without holding this one
 
 
 # A sequence row is its number k twice around one slot, filled with a(k)'s text
@@ -388,22 +386,17 @@ def _chunk_rows(chunk: Sequence[int], lo: int, fmt: str) -> str:
 
 
 def _sequence_rows(chunks: Iterable[Sequence[int]], fmt: str) -> Iterator[str]:
+    """The terms of ``chunks`` as CSV (header first) or JSON lines, one string per chunk:
+    the bytes of ``csv.writer`` on ``(k, a, a, k)`` or ``json.dumps``."""
     if fmt == "csv":
         yield _CSV_HEADER_LINE
     # chunk i starts at row 1 + i * ROWS_PER_CHUNK: only the last chunk is short
     yield from map(_chunk_rows, chunks, count(1, ROWS_PER_CHUNK), repeat(fmt))
 
 
-def sequence_chunks(terms: Iterable[int], fmt: str) -> Iterator[str]:
-    """Render a(1), a(2), ... as CSV (header first) or JSON lines, one string per checked chunk.
-
-    Rows are the bytes of ``csv.writer`` on ``(k, a, a, k)`` or ``json.dumps``.
-    """
-    return _sequence_rows(checked_chunks(terms), fmt)
-
-
 def canonical_chunks(p: Fraction | int, n: int, m: int | None, fmt: str) -> Iterator[str]:
-    """``sequence_chunks(canonical_terms(p, n, m), fmt)``, each chunk from the closed form.
+    """The rows ``_sequence_rows`` writes for ``canonical_terms(p, n, m)``, each chunk
+    from the closed form.
 
     No term is checked.  With 0 <= num <= den, a(k) = k*num // den steps by
     (x + num)//den - x//den, which is 0 or 1, from a(0) = 0; a frozen tail steps
@@ -412,9 +405,8 @@ def canonical_chunks(p: Fraction | int, n: int, m: int | None, fmt: str) -> Iter
     from r by num, floor-divided by den.  The arguments are checked here,
     before the first row.
     """
-    canonical_terms(p, n, m)  # raises on bad arguments
-    p = Fraction(p)
-    return _canonical_rows(p.numerator, p.denominator, n, n if m is None else m, fmt)
+    num, den = check_canonical(p, n, m)
+    return _canonical_rows(num, den, n, n if m is None else m, fmt)
 
 
 def _canonical_rows(num: int, den: int, n: int, m: int, fmt: str) -> Iterator[str]:
@@ -430,15 +422,18 @@ def _canonical_rows(num: int, den: int, n: int, m: int, fmt: str) -> Iterator[st
 
 
 def nonconvergent_chunks(low: Fraction, high: Fraction, n: int, fmt: str) -> Iterator[str]:
-    """``sequence_chunks(nonconvergent_terms(low, high, n), fmt)`` with no term checked:
+    """The rows ``_sequence_rows`` writes for ``nonconvergent_terms(low, high, n)``, unchecked:
     its phases were checked where they join, and each steps by 1 or 0 by type."""
     terms = nonconvergent_terms(low, high, n)
     return _sequence_rows(iter(lambda: list(islice(terms, ROWS_PER_CHUNK)), []), fmt)
 
 
 def sequence_csv(seq: CumulativeSequence) -> str:
-    """CSV with columns n, a_n, freq_num, freq_den (frequency unreduced)."""
-    return "".join(sequence_chunks(seq.terms, "csv"))
+    """CSV with columns n, a_n, freq_num, freq_den (frequency unreduced), rendered a
+    ``ROWS_PER_CHUNK`` slice at a time from terms the class has checked."""
+    terms = seq.terms
+    chunks = (terms[lo:lo + ROWS_PER_CHUNK] for lo in range(0, len(terms), ROWS_PER_CHUNK))
+    return "".join(_sequence_rows(chunks, "csv"))
 
 
 def sequence_from_csv(text: str) -> CumulativeSequence:
@@ -472,9 +467,7 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
     bad = _first_bad_step(terms)
     if bad is not None:
         raise _form_error(bad + 1)
-    seq = object.__new__(CumulativeSequence)  # int() built every term: no type pass
-    object.__setattr__(seq, "terms", tuple(terms))
-    return seq
+    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # int() built every term
 
 
 def _digits_int(digits: str) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import countOf, ne
 from typing import Iterator, NamedTuple, Sequence
 
-from .freq_seq import BinaryTrialSequence, canonical_terms, check_probability
+from .freq_seq import BinaryTrialSequence, check_canonical, check_probability
 
 PRNG_VERSION = "splitmix64-v1"
 
@@ -137,11 +137,9 @@ def canonical_counts(p: Fraction | int, n: int) -> BitCounts:
     and trial 1 is 0 unless p = 1.  The arguments are checked as
     ``canonical_terms`` checks them.
     """
-    p = check_probability(p)
-    canonical_terms(p, n)  # raises on bad arguments
+    num, den = check_canonical(p, n)
     if not n:
         return BitCounts(0, 0, 0)
-    num, den = p.numerator, p.denominator
     ones = n * num // den
     last = ones - (n - 1) * num // den  # bit n
     if num in (0, den):

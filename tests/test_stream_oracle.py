@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -45,7 +46,6 @@ from freqmimic.freq_seq import (
     canonical_terms,
     check_probability,
     nonconvergent_terms,
-    sequence_chunks,
     sequence_csv,
     sequence_from_csv,
     truncate_freeze,
@@ -405,14 +405,22 @@ any_chunk = st.integers(min_value=1, max_value=64)
 # ------------------------------------------------------------------ writers
 
 
+def sliced_rows(terms, fmt):
+    """``_sequence_rows`` over ``terms`` in ``ROWS_PER_CHUNK`` slices, as ``sequence_csv`` cuts them."""
+    size = freq_seq.ROWS_PER_CHUNK
+    return "".join(freq_seq._sequence_rows(
+        (terms[lo:lo + size] for lo in range(0, len(terms), size)), fmt))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seq=cumulative, chunk=small_chunks)
 def test_writers_match_csv_and_json_oracles(seq, chunk):
     assert sequence_csv(seq) == oracle_sequence_csv(seq)
-    assert "".join(sequence_chunks(seq.terms, "json")) == oracle_sequence_json(seq)
+    assert sliced_rows(seq.terms, "json") == oracle_sequence_json(seq)
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        assert "".join(sequence_chunks(seq.terms, "csv")) == oracle_sequence_csv(seq)
-        assert "".join(sequence_chunks(seq.terms, "json")) == oracle_sequence_json(seq)
+        assert sequence_csv(seq) == oracle_sequence_csv(seq)
+        assert sliced_rows(seq.terms, "csv") == oracle_sequence_csv(seq)
+        assert sliced_rows(seq.terms, "json") == oracle_sequence_json(seq)
 
 
 @settings(max_examples=200, deadline=None)
@@ -480,7 +488,7 @@ def test_gen_seq_chunks_from_the_closed_form_match_the_oracle(p, n, m, fmt):
         argv += ["--m", str(m)]
     expected = RENDER[fmt](oracle_gen_seq(p, n, m))
     # generated terms are not checked again
-    with mock.patch.object(freq_seq, "checked_chunks", side_effect=AssertionError), \
+    with mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError), \
             mock.patch.object(freq_seq, "_typed", side_effect=AssertionError):
         assert run_main(argv) == (0, expected)
 
@@ -560,10 +568,52 @@ def test_gen_nonconv_names_a_phase_that_starts_two_above_the_term_before(shifted
 def test_gen_nonconv_terms_are_not_checked_again(fmt):
     n = 3 * _R + 5
     expected = RENDER[fmt](oracle_build_nonconvergent(F(2, 7), F(4, 7), n))
-    with mock.patch.object(freq_seq, "checked_chunks", side_effect=AssertionError), \
+    with mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError), \
             mock.patch.object(freq_seq, "_typed", side_effect=AssertionError):
         assert run_main(["gen-nonconv", "--low", "2/7", "--high", "4/7", "--n", str(n),
                          "--format", fmt]) == (0, expected)
+
+
+def assert_built_as_checked(build, check):
+    """``build()`` gives what ``check()`` gives: an equal sequence of one type, field
+    dict and hash, also after a pickle round trip, or the same error."""
+    built, checked = outcome(build), outcome(check)
+    assert built[0] == checked[0]
+    if checked[0] != "ok":
+        assert built == checked
+        return
+    built, checked = built[1], checked[1]
+    for seq in (built, pickle.loads(pickle.dumps(built))):
+        assert type(seq) is CumulativeSequence and vars(seq) == vars(checked)
+        assert seq == checked and hash(seq) == hash(checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(probabilities, st.sampled_from([F(-1, 2), F(3, 2)])),
+    n=st.integers(min_value=-2, max_value=400),
+    low=probabilities,
+    high=probabilities,
+)
+@example(p=F(1), n=3 * _R + 1, low=F(2, 7), high=F(4, 7))
+def test_unchecked_builders_equal_the_checked_constructor(p, n, low, high):
+    assert_built_as_checked(lambda: freq_seq.canonical_prefix(p, n),
+                            lambda: CumulativeSequence(tuple(canonical_terms(p, n))))
+    assert_built_as_checked(lambda: freq_seq.build_nonconvergent(low, high, n),
+                            lambda: CumulativeSequence(tuple(nonconvergent_terms(low, high, n))))
+
+
+def test_generated_sequences_are_built_without_the_checks():
+    n = 2 * _R + 3
+    expected = [oracle_canonical_prefix(p, n) for p in (F(0), F(1), F(1, 3))]
+    nonconvergent = oracle_build_nonconvergent(F(2, 7), F(4, 7), n)
+    with mock.patch.object(freq_seq, "_typed", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError):
+        assert [freq_seq.canonical_prefix(p, n) for p in (F(0), F(1), F(1, 3))] == expected
+        assert freq_seq.build_nonconvergent(F(2, 7), F(4, 7), n) == nonconvergent
+        assert sequence_csv(nonconvergent) == oracle_sequence_csv(nonconvergent)
+        with pytest.raises(AssertionError):  # the public constructor checks
+            CumulativeSequence(nonconvergent.terms)
 
 
 _NUMBERED_EDGES = sorted({x + d for x in (0, 99, 100, 101, 199, 200, 10_000) for d in range(-2, 3)})
@@ -580,8 +630,9 @@ def _writer_patterns():
 
     with mock.patch.object(freq_seq, "_numbered", spy), \
             mock.patch.object(event_seq, "_numbered", spy):
+        sequence_csv(CumulativeSequence((0, 1)))
+        "".join(freq_seq._sequence_rows([[0, 1]], "json"))
         for fmt in ("csv", "json"):
-            "".join(sequence_chunks([0, 1], fmt))
             for m in (1, 3, 10):
                 "".join(cell_dist.cell_chunks(cell_dist.cell_column_chunks([F(1, m)] * m, 2), m, fmt))
             "".join(event_seq.trace_chunks(F(1, 2), 2, fmt))
@@ -630,29 +681,27 @@ def test_writer_patterns_have_no_letter_k_but_their_number_slots():
     terms=st.lists(st.one_of(st.integers(min_value=-2, max_value=4),
                              st.sampled_from([True, False, 0.0, 1.0, 2.0, F(1), F(1, 2)])),
                    max_size=40),
-    fmt=st.sampled_from(["csv", "json"]),
-    chunk=small_chunks,
 )
-def test_stream_check_raises_the_materialized_error(terms, fmt, chunk):
-    """Arbitrary terms: the stream fails exactly where CumulativeSequence does,
-    which also rejects any term that equals an int but is not one."""
+def test_stream_check_raises_the_materialized_error(terms):
+    """Arbitrary terms: CumulativeSequence, the check every sequence's terms meet
+    once, fails at the first bad step of the oracle or at the first term that
+    equals an int but is not one, whichever comes first."""
     assert freq_seq.check_cumulative_form(terms) == oracle_check_cumulative_form(terms)
-    expected = outcome(lambda: RENDER[fmt](CumulativeSequence(terms)))
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        got = outcome(lambda: "".join(sequence_chunks(terms, fmt)))
-    assert got == expected
+    typed = list(itertools.takewhile(lambda term: type(term) is int, terms))
+    ok, index = oracle_check_cumulative_form(typed)
+    if ok and len(typed) < len(terms):
+        ok, index = False, len(typed) + 1
+    expected = ("ok", tuple(terms)) if ok else (
+        ValueError, f"not a cumulative-success sequence at index {index}")
+    assert outcome(lambda: CumulativeSequence(terms).terms) == expected
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [True, 1.0, F(1)])
-def test_stream_rejects_a_term_that_is_not_an_exact_int_where_the_class_does(bad, fmt):
+def test_stream_rejects_a_term_that_is_not_an_exact_int_where_the_class_does(bad):
     # each of these equals 1 and steps by 0 or 1, so only the exact-int rule rejects it
     for terms, index in [([bad], 1), ([0, bad, 1, 2], 2), ([0, 1, bad, 2], 3), ([0, 0, 1, bad], 4)]:
         expected = (ValueError, f"not a cumulative-success sequence at index {index}")
         assert outcome(lambda: CumulativeSequence(terms)) == expected
-        for chunk in (1, 2, 3, 64):
-            with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-                assert outcome(lambda: "".join(sequence_chunks(terms, fmt))) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -1555,28 +1604,37 @@ def test_trace_tokens_render_the_statements():
             assert got == [sep + text for text in expected], (pattern, j)
 
 
-@settings(max_examples=100, deadline=None)
+def test_realize_reads_no_term_and_checks_none():
+    # realize takes each outcome from the closed form: no canonical term is
+    # built and none is checked, on either side of each chunk edge
+    cases = [(p, n, fmt) for p in (F(0), F(1), F(1, 3), F(3, 2 * _R + 1))
+             for n in (_R - 1, _R, _R + 1, 2 * _R + 1) for fmt in ("csv", "json")]
+    expected = [(0, oracle_realize(p, n, fmt)) for p, n, fmt in cases]
+    with mock.patch.object(freq_seq, "canonical_terms", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_typed", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError):
+        got = [run_main(["realize", "--p", str(p), "--n", str(n), "--format", fmt])
+               for p, n, fmt in cases]
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=120),
-    fault=st.sampled_from(["step 2", "decrease"]),
-    at=st.integers(min_value=0, max_value=119),
-    fmt=st.sampled_from(["csv", "json"]),
-    chunk=any_chunk,
+    p=st.one_of(
+        st.sampled_from([F(0), F(1), F(1, 2), F(3, 2 * _R + 1), F(_R, _R + 1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=3 * _R),
+    ),
+    k=st.one_of(st.integers(min_value=1, max_value=4 * _R),
+                st.sampled_from([1, 2, _R - 1, _R, _R + 1, 2 * _R, 2 * _R + 1])),
 )
-def test_realize_stream_check_raises_the_materialized_error(n, fault, at, fmt, chunk):
-    terms = list(oracle_canonical_prefix(F(1, 3), n).terms)
-    at %= n
-    step = terms[at] - (terms[at - 1] if at else 0)
-    shift = (2 if fault == "step 2" else -1) - step
-    for k in range(at, n):  # the step into trial at + 1 becomes 2 or -1
-        terms[k] += shift
-    expected = outcome(lambda: CumulativeSequence(terms))
-    assert expected[0] is ValueError
-    argv = ["realize", "--p", "1/3", "--n", str(n), "--format", fmt]
-    with mock.patch.object(event_seq, "canonical_terms", lambda p, n: iter(terms)), \
-            mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        code, _, err = run_main_err(argv)
-    assert (code, err) == (2, f"error: {expected[1]}\n")
+def test_closed_form_outcome_is_the_canonical_step(p, k):
+    # a(k) - a(k-1) = [(k*num) mod den < num], the outcome realize writes for trial k
+    a = list(canonical_terms(p, k))
+    step = a[-1] - (a[-2] if k > 1 else 0)
+    assert list(event_seq._outcomes(p.numerator, p.denominator, k, k + 1)) == [step]
+    window = range(max(1, k - 3), k + 1)
+    assert list(event_seq._outcomes(p.numerator, p.denominator, window[0], k + 1)) == [
+        a[j - 1] - (a[j - 2] if j > 1 else 0) for j in window]
 
 
 # ------------------------------------------------------------------ CLI bytes
@@ -1686,29 +1744,8 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
     assert large - small < 100_000, (small, large)
 
 
-def probed_rows(rows, chunk, held, tail=0, skip=0):
-    """Yield ``rows``; as the first row of each chunk after the first is
-    pulled, append to ``held`` the references the consumer still holds to
-    the rows of the chunk before, except its last ``tail`` rows (CPython
-    reference counts).  Chunks that start before row ``skip`` are not probed."""
-    rows = list(rows)
-
-    def refs(j):
-        return sys.getrefcount(rows[j])
-
-    before = [refs(j) for j in range(len(rows))]
-
-    def pull():
-        for i in range(len(rows)):
-            if i - chunk >= skip and i % chunk == 0:
-                held.append(sum(refs(j) - before[j] for j in range(i - chunk, i - tail)))
-            yield rows[i]
-
-    return pull()
-
-
 def probed_chunks(chunks, held):
-    """Yield cell ``chunks``; as each chunk after the first is pulled, append to
+    """Yield ``chunks``; as each chunk after the first is pulled, append to
     ``held`` the references the consumer still holds to the chunk before (CPython
     reference counts; the full chunks of a tiled run are one array)."""
     chunks = list(chunks)
@@ -1723,21 +1760,33 @@ def probed_chunks(chunks, held):
     return pull()
 
 
+def probed_texts(texts, held):
+    """Yield ``texts``; as realize builds each chunk after the first of a part, append
+    to ``held`` the references the stream still holds to the text it yielded before
+    (CPython reference counts: the probe's list holds one, ``getrefcount`` one)."""
+    kept, numbered = [], event_seq._numbered
+
+    def spy(lo, hi, pattern):
+        if lo > 1:  # the text before is this part's chunk before
+            held.append(sys.getrefcount(kept[-1]) - 2)
+        return numbered(lo, hi, pattern)
+
+    with mock.patch.object(event_seq, "_numbered", spy):
+        for _ in map(kept.append, texts):  # no name here keeps the last text
+            yield kept[-1]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "verb", ["sequence_chunks", "cell_chunks", "long_period_cell_chunks", "trace_chunks"])
 def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
-    # Plain ints above 256 are distinct objects (smaller ones are shared), so each
-    # probed term has its own reference count: the terms climb by one a trial to
-    # 288 and then follow the canonical 2/5 sequence for n trials, which alone are
-    # probed.  A term stream keeps the last term before the chunk it reads: its
-    # unit-step check starts there.
-    chunk, n, held, climb = 8, 60, [], 288
-    terms = [*range(1, climb + 1), *(climb + a for a in canonical_terms(F(2, 5), n))]
-    assert min(terms[climb:]) > 256 and climb % chunk == 0
+    # The sequence rows of the canonical 2/5 sequence for n trials, cut into chunks,
+    # are probed as the writer reads each chunk; realize's texts as it builds each one.
+    chunk, n, held = 8, 60, []
+    terms = list(canonical_terms(F(2, 5), n))
     streams = {
-        "sequence_chunks": lambda: sequence_chunks(
-            probed_rows(terms, chunk, held, 1, climb), fmt),
+        "sequence_chunks": lambda: freq_seq._sequence_rows(probed_chunks(
+            [terms[lo:lo + chunk] for lo in range(0, n, chunk)], held), fmt),
         # one period of 4 rows, so 8-row chunks of two periods each
         "cell_chunks": lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 4), F(1, 2), F(1, 4)], n), held),
@@ -1747,11 +1796,9 @@ def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
         "long_period_cell_chunks": lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 9), F(8, 9)], n), held), 2, fmt,
         ),
-        "trace_chunks": lambda: event_seq.trace_chunks(F(2, 5), len(terms), fmt),  # two passes
+        "trace_chunks": lambda: probed_texts(event_seq.trace_chunks(F(2, 5), n, fmt), held),
     }
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
-            mock.patch.object(event_seq, "canonical_terms",
-                              lambda p, n: probed_rows(terms, chunk, held, 1, climb)):
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
         collections.deque(streams[verb](), maxlen=0)
-    assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)
+    assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)  # realize: two parts
     assert set(held) == {0}, held
