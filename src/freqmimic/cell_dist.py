@@ -121,28 +121,36 @@ def _cells(den: int, nums: list[int], n: int) -> Iterator[int]:
 
 
 def cell_column_chunks(probs: ProbabilityVector | Sequence[Fraction], n: int) -> Iterator[array]:
-    """Cell columns (``_chunks``) of trials 1..n, arguments checked first: trial t goes to
-    the cell with the largest deficit t*p_k - a_k(t-1) (lowest index on ties; exact integers)."""
+    """Cell columns (``_chunks``, sized by value slots) of trials 1..n, arguments checked
+    first: trial t goes to the cell with the largest deficit t*p_k - a_k(t-1) (lowest index
+    on ties; exact integers)."""
     _, den, nums = _shares(probs)
     if n < 0:
         raise ValueError("trial count must be non-negative")
     return _chunks(den, nums, n)
 
 
+TILE_SLOTS = 1 << 17  # the most value slots (den rows of m + 1) a one-period tile may hold
+
+
 def _chunks(den: int, nums: list[int], n: int) -> Iterator[array]:
-    """The cells of trials 1..n as ``array('I')`` columns of ``ROWS_PER_CHUNK`` rows.  A
-    period that fits a chunk is run once, checked and repeated, so every full chunk is
-    the same object, ``tile``, of whole periods; longer periods run the loop."""
+    """The cells of trials 1..n as ``array('I')`` columns, sized by value slots: a row
+    has m + 1 (its cell and m counts), and a chunk's budget is ``ROWS_PER_CHUNK`` slots.
+    A period of at most ``TILE_SLOTS`` slots is run once, checked and repeated into
+    ``tile``, as many whole periods as fit the budget or else the one period, so every
+    full chunk is that one object; a longer period runs the loop, in chunks of the
+    budget's rows but at least 64."""
     m, size = len(nums), freq_seq.ROWS_PER_CHUNK
-    if den <= size:
+    slots = den * (m + 1)  # the period's
+    if slots <= TILE_SLOTS:
         period = array("I", _cells(den, nums, den))
         if list(map(period.count, range(1, m + 1))) != nums:
             raise RuntimeError(f"greedy deficits are not all 0 at trial {den}")
-        tile = period * (size // den)
+        tile = period * max(size // slots, 1)
         yield from (tile if n - lo >= len(tile) else tile[:n - lo] for lo in range(0, n, len(tile)))
     else:
-        cells = _cells(den, nums, n)
-        yield from (array("I", islice(cells, size)) for _ in range(0, n, size))
+        rows, cells = max(size // (m + 1), 64), _cells(den, nums, n)
+        yield from (array("I", islice(cells, rows)) for _ in range(0, n, rows))
 
 
 def build_cell_sequences(
@@ -301,7 +309,7 @@ def _header(m: int) -> list[str]:
 
 
 def cell_chunks(columns: Iterable[Sequence[int]], m: int, fmt: str) -> Iterator[str]:
-    """Render cell columns (see ``_chunks``) as CSV (header first) or JSON lines.
+    """Render cell columns of any length (see ``_chunks``) as CSV (header first) or JSON lines.
 
     Row t holds trial t's cell and the counts a_k(t) of trials through t whose cell is
     k: for ints, the bytes of ``csv.writer``, or of ``json.dumps`` on ``{"trial": t,

@@ -9,11 +9,13 @@ its phases, checked once where they join, so no term is checked again.  Each
 row's one slot is filled from a pool of the chunk's value texts.  realize takes
 each trial's outcome from the closed form k*num mod den < num (p = num/den), so it
 builds no term a(k) and checks none.
-gen-dist takes each trial's cell from the greedy loop, run for one period and
-repeated when the period fits a chunk, in chunks of cells alone: each count is
-the running count of its cell, and a chunk equal to the last one checked reuses
-its check and its gather.  These four verbs write every row and trial number through one
-renderer, ``freq_seq._numbered``.  compare takes the designed stream's counts
+gen-dist takes each trial's cell from the greedy loop, in chunks of cells alone
+sized by value slots (a row's cell and m counts), so a chunk's memory does not
+grow with m.  A period of up to ``cell_dist.TILE_SLOTS`` slots is run once and
+repeated, so every full chunk is one tile; each count is the running count of its
+cell, and a chunk equal to the last one checked reuses its check and its gather.
+These four verbs write every row and trial number through one renderer,
+``freq_seq._numbered``.  compare takes the designed stream's counts
 from their closed form and counts the generated stream in packed chunks as it
 is drawn.  So memory does not grow with --n; flags are checked before the first row.
 Each verb imports only the modules it runs: compare loads ``freq_seq`` and

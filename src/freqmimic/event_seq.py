@@ -53,8 +53,10 @@ def to_binary(seq: CumulativeSequence) -> BinaryTrialSequence:
     """Difference sequence: bit j = a(j) - a(j-1) with a(0) = 0.
 
     Prefixes are stable: the first m bits depend only on the first m terms.
+    The bits are built unchecked: a checked sequence's steps are ints, each 0 or 1.
     """
-    return BinaryTrialSequence(tuple(map(sub, seq.terms, itertools.chain((0,), seq.terms))))
+    return _unchecked(BinaryTrialSequence, "bits",
+                      tuple(map(sub, seq.terms, itertools.chain((0,), seq.terms))))
 
 
 def from_binary(bits: Iterable[int]) -> CumulativeSequence:

@@ -222,20 +222,26 @@ def max_deviation(seq: CumulativeSequence, p: Fraction | int) -> DeviationCheck:
 
 def variant_to_zero(m: int, n: int) -> CumulativeSequence:
     """Rise for m steps, then freeze: a(k) = min(k - 1, m); frequency -> 0."""
-    if m < 2:
-        raise ValueError("variant parameter m must be at least 2")
-    if n < 0:
-        raise ValueError("prefix length must be non-negative")
-    return CumulativeSequence(tuple(min(k - 1, m) for k in range(1, n + 1)))
+    return _variant(m, n, lambda k: min(k - 1, m))
 
 
 def variant_to_one(m: int, n: int) -> CumulativeSequence:
     """Hold zero through trial m, then rise: a(k) = max(0, k - m); frequency -> 1."""
+    return _variant(m, n, lambda k: max(0, k - m))
+
+
+def _variant(m: int, n: int, term) -> CumulativeSequence:
+    """A variant's terms term(1), ..., term(n), once m and n pass its checks.  For an
+    int m they are ints from 0 that step by 0 or 1, built unchecked; any other m (a
+    float gives float terms) goes through the check."""
     if m < 2:
         raise ValueError("variant parameter m must be at least 2")
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    return CumulativeSequence(tuple(max(0, k - m) for k in range(1, n + 1)))
+    terms = tuple(map(term, range(1, n + 1)))
+    if type(m) is not int:
+        return CumulativeSequence(terms)
+    return _unchecked(CumulativeSequence, "terms", terms)
 
 
 def backshift_variant(seq: CumulativeSequence, block_index: int) -> CumulativeSequence:
@@ -245,25 +251,27 @@ def backshift_variant(seq: CumulativeSequence, block_index: int) -> CumulativeSe
     term a becomes max(a - 1, 0): terms never decrease, so once one would
     reach or pass zero, every term before it is zero too.  To keep the
     unit-step form at the junction, the term at ``block_index`` must repeat
-    its predecessor (any index inside a repeated block works).
+    its predecessor (any index inside a repeated block works).  With that
+    checked, the result of a checked sequence is built unchecked.
     """
     terms = seq.terms
     if not 1 <= block_index <= len(terms):
         raise ValueError("block index out of range")
     if block_index > 1 and terms[block_index - 1] != terms[block_index - 2]:
         raise ValueError("block index must sit inside a repeated-count block")
-    return CumulativeSequence(tuple(max(a - 1, 0) for a in terms[:block_index - 1])
-                              + terms[block_index - 1:])
+    shifted = tuple(max(a - 1, 0) for a in terms[:block_index - 1])
+    return _unchecked(CumulativeSequence, "terms", shifted + terms[block_index - 1:])
 
 
 def truncate_freeze(seq: CumulativeSequence, m: int, n: int) -> CumulativeSequence:
-    """Copy a(1..m), then hold a(m) constant through trial n."""
+    """Copy a(1..m), then hold a(m) constant through trial n: built unchecked, as a
+    checked prefix followed by steps of 0."""
     if not 1 <= m <= len(seq):
         raise ValueError("freeze index out of range")
     if n < m:
         raise ValueError("target length must be at least the freeze index")
     terms = seq.terms[:m] + (seq.terms[m - 1],) * (n - m)
-    return CumulativeSequence(terms)
+    return _unchecked(CumulativeSequence, "terms", terms)
 
 
 def nonconvergent_terms(low: Fraction, high: Fraction, n: int) -> Iterator[int]:
@@ -353,16 +361,22 @@ _POOL = {"csv": "k,k\0", "json": 'k, "freq": [k\0'}
 def _numbered(lo: int, hi: int, pattern: str) -> str:
     """Rows lo..hi-1 of ``pattern``, with the row index in place of each letter k.
 
-    Rows 100q to 100q+99 share the digits of q, so a full block of them is
-    one ``str.join`` with q's text as the separator rather than 100 rows of
-    int-to-text conversions; rows below 100 and partial blocks go one by one.
+    Rows 100q to 100q+99 share the digits of q, so a block of them is one
+    ``str.join`` with q's text as the separator rather than 100 rows of
+    int-to-text conversions.  For q >= 1 each of its rows is a hundredth of
+    the block, so a partial block is a slice of the whole one; rows below
+    100 go one by one.
     """
-    first = max(-(-lo // 100), 1)  # full blocks are q = first .. last-1
-    last = max(hi // 100, first)
+    head = "".join(pattern.replace("k", str(k)) for k in range(lo, min(hi, 100)))
+    lo = max(lo, 100)
+    if lo >= hi:
+        return head
     pieces = _block(pattern)
-    head = "".join(pattern.replace("k", str(k)) for k in range(lo, min(hi, 100 * first)))
-    tail = "".join(pattern.replace("k", str(k)) for k in range(max(lo, 100 * last), hi))
-    return head + "".join([str(q).join(pieces) for q in range(first, last)]) + tail
+    blocks = [str(q).join(pieces) for q in range(lo // 100, (hi - 1) // 100 + 1)]
+    first, last = len(blocks[0]) // 100, len(blocks[-1]) // 100  # their rows' lengths
+    blocks[-1] = blocks[-1][:((hi - 1) % 100 + 1) * last]
+    blocks[0] = blocks[0][lo % 100 * first:]
+    return head + "".join(blocks)
 
 
 @lru_cache(maxsize=16)

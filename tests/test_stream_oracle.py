@@ -3,7 +3,8 @@
 The oracles below are the original writers, readers, generators and
 statistics, kept verbatim: ``csv.writer`` and ``json.dumps`` rendering of a
 materialized sequence or cell table (``cell_json_rows``), the ``csv.reader``
-parsers, the per-row cell reader, the per-trial oscillating loop, the
+parsers, the per-row cell reader, the variant builders and binary steps through
+the checked constructors, the per-trial oscillating loop, the
 column-building and the full-row greedy cell loops, the list-building SplitMix64 loop, and the
 index-scanning runs counter.  The streamed CLI output, the term and row generators, the readers
 (on text in their writer's layout) and the one-pass counts must match them
@@ -21,6 +22,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -198,6 +200,41 @@ def oracle_to_binary(seq):
         bits.append(term - prev)
         prev = term
     return BinaryTrialSequence(tuple(bits))
+
+
+def oracle_variant_to_zero(m, n):
+    if m < 2:
+        raise ValueError("variant parameter m must be at least 2")
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    return CumulativeSequence(tuple(min(k - 1, m) for k in range(1, n + 1)))
+
+
+def oracle_variant_to_one(m, n):
+    if m < 2:
+        raise ValueError("variant parameter m must be at least 2")
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    return CumulativeSequence(tuple(max(0, k - m) for k in range(1, n + 1)))
+
+
+def oracle_backshift_variant(seq, block_index):
+    terms = seq.terms
+    if not 1 <= block_index <= len(terms):
+        raise ValueError("block index out of range")
+    if block_index > 1 and terms[block_index - 1] != terms[block_index - 2]:
+        raise ValueError("block index must sit inside a repeated-count block")
+    return CumulativeSequence(tuple(max(a - 1, 0) for a in terms[:block_index - 1])
+                              + terms[block_index - 1:])
+
+
+def oracle_truncate_freeze(seq, m, n):
+    if not 1 <= m <= len(seq):
+        raise ValueError("freeze index out of range")
+    if n < m:
+        raise ValueError("target length must be at least the freeze index")
+    terms = seq.terms[:m] + (seq.terms[m - 1],) * (n - m)
+    return CumulativeSequence(terms)
 
 
 def oracle_bernoulli_prng(p, n, seed):
@@ -584,7 +621,7 @@ def assert_built_as_checked(build, check):
         return
     built, checked = built[1], checked[1]
     for seq in (built, pickle.loads(pickle.dumps(built))):
-        assert type(seq) is CumulativeSequence and vars(seq) == vars(checked)
+        assert type(seq) is type(checked) and vars(seq) == vars(checked)
         assert seq == checked and hash(seq) == hash(checked)
 
 
@@ -614,6 +651,46 @@ def test_generated_sequences_are_built_without_the_checks():
         assert sequence_csv(nonconvergent) == oracle_sequence_csv(nonconvergent)
         with pytest.raises(AssertionError):  # the public constructor checks
             CumulativeSequence(nonconvergent.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=bit_lists,
+    m=st.one_of(st.integers(min_value=-1, max_value=310),
+                st.sampled_from([2.0, 2.5, F(5, 2), True])),
+    n=st.integers(min_value=-2, max_value=320),
+    index=st.integers(min_value=-1, max_value=310),
+)
+@example(bits=[0, 1, 1, 0], m=2.0, n=5, index=4)  # a float m: float terms, rejected at index 4
+def test_unchecked_variants_equal_the_checked_constructor(bits, m, n, index):
+    seq = CumulativeSequence(tuple(itertools.accumulate(bits)))
+    for name in ("variant_to_zero", "variant_to_one"):
+        assert_built_as_checked(lambda: getattr(freq_seq, name)(m, n),
+                                lambda: globals()[f"oracle_{name}"](m, n))
+    assert_built_as_checked(lambda: truncate_freeze(seq, m, n),
+                            lambda: oracle_truncate_freeze(seq, m, n))
+    for block in (index, 1 + index % max(len(bits), 1)):  # often inside a repeated-count block
+        assert_built_as_checked(lambda: freq_seq.backshift_variant(seq, block),
+                                lambda: oracle_backshift_variant(seq, block))
+    assert_built_as_checked(lambda: event_seq.to_binary(seq), lambda: oracle_to_binary(seq))
+
+
+def test_variants_and_binary_steps_are_built_without_the_checks():
+    seq = oracle_canonical_prefix(F(1, 3), 2 * _R + 3)
+    built = [lambda: truncate_freeze(seq, 1000, 3 * _R), lambda: freq_seq.variant_to_zero(5, 300),
+             lambda: freq_seq.variant_to_one(5, 300), lambda: freq_seq.backshift_variant(seq, 5),
+             lambda: event_seq.to_binary(seq)]
+    expected = [oracle_truncate_freeze(seq, 1000, 3 * _R), oracle_variant_to_zero(5, 300),
+                oracle_variant_to_one(5, 300), oracle_backshift_variant(seq, 5),
+                oracle_to_binary(seq)]
+    with mock.patch.object(freq_seq, "_typed", side_effect=AssertionError), \
+            mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError), \
+            mock.patch.object(BinaryTrialSequence, "__post_init__", side_effect=AssertionError):
+        assert [build() for build in built] == expected
+        with pytest.raises(AssertionError):  # the public constructors check
+            CumulativeSequence(seq.terms)
+        with pytest.raises(AssertionError):
+            BinaryTrialSequence(expected[-1].bits)
 
 
 _NUMBERED_EDGES = sorted({x + d for x in (0, 99, 100, 101, 199, 200, 10_000) for d in range(-2, 3)})
@@ -650,6 +727,16 @@ def test_numbered_matches_naive_rows(pattern):
         for hi in _NUMBERED_EDGES:
             expected = "".join(naive[lo - first:hi - first]) if lo < hi else ""
             assert freq_seq._numbered(lo, hi, pattern) == expected, (lo, hi)
+    # a part of one block past the first (a slice of the block), parts of adjacent
+    # blocks, and ranges anywhere below 300,000, of up to 1,000 rows
+    draw = random.Random(pattern)
+    ranges = [(150, 170), (101, 199), (1_234, 1_277), (10_050, 10_099), (99_901, 100_000),
+              (150, 260), (999, 1_001), (9_950, 10_050), (99_999, 100_001), (123_456, 123_567)]
+    for lo in (draw.randrange(300_000) for _ in range(100)):
+        ranges.append((lo, lo + draw.randrange(1_000)))
+    for lo, hi in ranges:
+        expected = "".join(pattern.replace("k", str(k)) for k in range(lo, hi))
+        assert freq_seq._numbered(lo, hi, pattern) == expected, (lo, hi)
 
 
 def test_numbered_builds_a_pattern_block_once_and_rebuilds_an_evicted_one_unchanged():
@@ -1388,40 +1475,56 @@ def test_gen_dist_stream_matches_materialized_oracle(text, n, fmt, chunk):
 
 @st.composite
 def tiled_cases(draw):
-    """A share vector, a chunk size on either side of its period den, and n
-    at 0, below den, at a multiple of den or between multiples."""
+    """A share vector, a chunk budget and a tile cap (in value slots) each on either
+    side of its period's den * (m + 1) slots, and n at 0, below den, at a multiple of
+    den or between multiples."""
     weights = draw(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5)
                    .filter(any))
     probs = [F(w, sum(weights)) for w in weights]
     den = math.lcm(*(p.denominator for p in probs))
-    chunk = draw(st.one_of(st.integers(min_value=1, max_value=den),
-                           st.integers(min_value=den, max_value=4 * den)))
+    slots = den * (len(probs) + 1)
+    chunk, cap = (draw(st.one_of(st.integers(min_value=1, max_value=slots),
+                                 st.integers(min_value=slots, max_value=4 * slots)))
+                  for _ in range(2))
     n = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=den),
                        st.integers(min_value=1, max_value=4).map(lambda q: q * den),
                        st.integers(min_value=0, max_value=5 * den + 3)))
-    return probs, n, chunk
+    return probs, n, chunk, cap
+
+
+def chunk_rows(den, m, chunk, cap):
+    """The rows of every full cell column: a tile of whole periods filling the budget,
+    or of one period past it, while the period's slots fit the cap; else the loop's
+    chunk of the budget's rows, at least 64."""
+    slots = den * (m + 1)
+    return den * max(chunk // slots, 1) if slots <= cap else max(chunk // (m + 1), 64)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=tiled_cases(), fmt=st.sampled_from(["csv", "json"]))
-@example(case=([F(1, 1)], 5, 1), fmt="json")
-@example(case=([F(0), F(0), F(1)], 1, 1), fmt="csv")  # cell 3 of a one-row period
-@example(case=([F(0), F(2, 5), F(3, 5)], 11, 10), fmt="csv")  # two periods a chunk, one short
+@example(case=([F(1, 1)], 5, 1, 2), fmt="json")  # a one-row period past a one-slot budget
+@example(case=([F(1, 1)], 70, 1, 1), fmt="csv")  # past the cap too: 64-row loop chunks
+@example(case=([F(0), F(0), F(1)], 1, 1, 4), fmt="csv")  # cell 3 of a one-row period
+@example(case=([F(0), F(2, 5), F(3, 5)], 11, 40, 40), fmt="csv")  # two periods a tile, one short
+@example(case=([F(0), F(2, 5), F(3, 5)], 13, 10, 20), fmt="json")  # one period past the budget
+@example(case=([F(1, 3), F(2, 3)], 200, 8, 8), fmt="csv")  # above the cap: the loop, ending mid-chunk
 def test_gen_dist_tiles_match_the_loop_and_row_writer(case, fmt):
-    probs, n, chunk = case
+    probs, n, chunk, cap = case
     rows = loop_rows(probs, n)
     argv = ["gen-dist", "--probs", ",".join(map(str, probs)), "--n", str(n), "--format", fmt]
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
+            mock.patch.object(cell_dist, "TILE_SLOTS", cap):
         assert run_main_err(argv) == (0, old_cell_writer(rows, len(probs), fmt), "")
         chunks = list(cell_dist.cell_column_chunks(probs, n))
     assert decoded_rows(chunks, len(probs)) == [row[1:] for row in rows]
-    # one chunk form on both sides of den: an array('I') of cells
+    # one chunk form on every route: an array('I') of cells
     assert all(type(column) is array.array and column.typecode == "I" for column in chunks)
     den = math.lcm(*(p.denominator for p in probs))
-    if den <= chunk:  # every chunk but the last is the one tile of whole periods
-        tile = chunk // den * den
-        assert all(len(column) == tile for column in chunks[:-1])
-        assert len({id(column) for column in chunks if len(column) == tile}) <= 1
+    full = chunk_rows(den, len(probs), chunk, cap)
+    assert all(len(column) == full for column in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= full if n else not chunks
+    if den * (len(probs) + 1) <= cap:  # every full chunk is the one tile
+        assert len({id(column) for column in chunks if len(column) == full}) <= 1
 
 
 @pytest.mark.parametrize("probs, n", [
@@ -1519,13 +1622,49 @@ def test_cell_chunks_raise_the_assignment_error_for_cells_that_are_not_ints(cell
 
 @pytest.mark.parametrize("n", [6 * 6 * 5, 6 * 6 * 5 + 4])
 def test_tiled_chunks_get_the_full_check_once_per_shape(n):
-    # 1/6,1/3,1/2 with 36-row chunks: five full chunks, then a short one or none
+    # 1/6,1/3,1/2 with a 36-slot budget: 6-row tiles of one 24-slot period, thirty
+    # full ones, then a short one or none
     probs, check = [F(1, 6), F(1, 3), F(1, 2)], cell_dist._check_cells
     with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", 36), \
             mock.patch.object(cell_dist, "_check_cells", wraps=check) as spy:
         got = "".join(cell_dist.cell_chunks(cell_dist.cell_column_chunks(probs, n), 3, "csv"))
     assert got == old_cell_writer(loop_rows(probs, n), 3, "csv")
-    assert spy.call_count == (1 if n % 36 == 0 else 2)
+    assert spy.call_count == (1 if n % 6 == 0 else 2)
+
+
+def _threshold_cases():
+    """(m, den, budget, cap): den on both sides of the budget and of the cap, at the
+    module's constants for m = 2, 10 and 100; m = 1 (den 1) and the 64-row floor of
+    the loop's chunks need a smaller budget and cap."""
+    budget, cap = freq_seq.ROWS_PER_CHUNK, cell_dist.TILE_SLOTS
+    cases = [(1, 1, budget, cap), (1, 1, 1, 2), (1, 1, 1, 1), (10, 745, 64, 9000)]
+    for m in (2, 10, 100):
+        for limit in (budget, cap):
+            below = limit // (m + 1)
+            cases += [(m, below, budget, cap), (m, below + 1, budget, cap)]
+    return cases
+
+
+@pytest.mark.parametrize("m, den, budget, cap", _threshold_cases())
+def test_cell_columns_are_sized_by_value_slots(m, den, budget, cap):
+    k = min(m, den)  # cells of non-zero share, all but the last 1/den
+    probs = [F(1, den)] * (k - 1) + [F(den - k + 1, den)] + [F(0)] * (m - k)
+    slots, tiled = den * (m + 1), den * (m + 1) <= cap
+    rows = max(budget // (m + 1), 64)  # the most rows of a column, but for one period
+    full = den * max(budget // slots, 1) if tiled else rows
+    n = 3 * full + max(full // 2, 1)  # ends mid-column unless a column is one row
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", budget), \
+            mock.patch.object(cell_dist, "TILE_SLOTS", cap), \
+            mock.patch.object(cell_dist, "_check_cells", wraps=cell_dist._check_cells) as spy:
+        columns = list(cell_dist.cell_column_chunks(probs, n))
+        text = "".join(cell_dist.cell_chunks(columns, m, "csv"))
+    assert [len(column) for column in columns] == [full] * (n // full) + [n % full] * (n % full > 0)
+    assert full <= rows or (tiled and full == den and slots > budget)  # one period past the budget
+    if tiled:  # the tile, and the short last column if any
+        assert spy.call_count == (1 if n % full == 0 else 2)
+    expected = loop_rows(probs, n)
+    assert list(itertools.chain(*columns)) == [row[1] for row in expected]
+    assert text.endswith(old_cell_writer(expected[-full:], m, "csv", header=False))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1744,6 +1883,19 @@ def test_streaming_verbs_memory_is_flat_in_n(argv):
     assert large - small < 100_000, (small, large)
 
 
+def test_gen_dist_memory_is_flat_in_the_cell_count():
+    """Ten times the cells, same peak: a chunk holds a budget of value slots, not of rows.
+
+    Rows of 3 and of 30 cells at the module's chunk budget; a budget of rows would
+    hold 8,192 rows of 31 slots at 30 cells, over 5 MB more than at 3.
+    """
+    argvs = [("gen-dist", "--probs", ",".join([f"1/{m}"] * m)) for m in (3, 30)]
+    for argv in argvs:  # the modules and each row pattern's block are built before tracing
+        _peak_bytes([*argv, "--n", "300"])
+    few, many = (_peak_bytes([*argv, "--n", "20000"]) for argv in argvs)
+    assert many - few < 250_000, (few, many)
+
+
 def probed_chunks(chunks, held):
     """Yield ``chunks``; as each chunk after the first is pulled, append to
     ``held`` the references the consumer still holds to the chunk before (CPython
@@ -1777,28 +1929,38 @@ def probed_texts(texts, held):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "verb", ["sequence_chunks", "cell_chunks", "long_period_cell_chunks", "trace_chunks"])
+@pytest.mark.parametrize("verb", ["sequence_chunks", "cell_chunks", "long_period_cell_chunks",
+                                  "loop_cell_chunks", "trace_chunks"])
 def test_streams_drop_each_chunk_before_reading_the_next(verb, fmt):
     # The sequence rows of the canonical 2/5 sequence for n trials, cut into chunks,
     # are probed as the writer reads each chunk; realize's texts as it builds each one.
+    # The chunk budget is 8 rows of a sequence, or 8 value slots of a cell table.
     chunk, n, held = 8, 60, []
     terms = list(canonical_terms(F(2, 5), n))
-    streams = {
-        "sequence_chunks": lambda: freq_seq._sequence_rows(probed_chunks(
-            [terms[lo:lo + chunk] for lo in range(0, n, chunk)], held), fmt),
-        # one period of 4 rows, so 8-row chunks of two periods each
-        "cell_chunks": lambda: cell_dist.cell_chunks(
+    streams = {  # each stream and the number of its chunks
+        "sequence_chunks": (lambda: freq_seq._sequence_rows(probed_chunks(
+            [terms[lo:lo + chunk] for lo in range(0, n, chunk)], held), fmt), 8),
+        # one period of 4 rows (16 slots, past the budget), so 4-row tiles of that period
+        "cell_chunks": (lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 4), F(1, 2), F(1, 4)], n), held),
             3, fmt,
-        ),
-        # a period of 9 rows, longer than a chunk: the loop's cells
-        "long_period_cell_chunks": lambda: cell_dist.cell_chunks(
+        ), 15),
+        # a period of 9 rows (27 slots), again one tile: 9-row tiles, the last one short
+        "long_period_cell_chunks": (lambda: cell_dist.cell_chunks(
             probed_chunks(cell_dist.cell_column_chunks([F(1, 9), F(8, 9)], n), held), 2, fmt,
-        ),
-        "trace_chunks": lambda: probed_texts(event_seq.trace_chunks(F(2, 5), n, fmt), held),
+        ), 7),
+        # past a 26-slot cap: the loop's cells, in chunks of 64 rows
+        "loop_cell_chunks": (lambda: cell_dist.cell_chunks(
+            probed_chunks(cell_dist.cell_column_chunks([F(1, 9), F(8, 9)], 3 * 64 + 5), held),
+            2, fmt,
+        ), 4),
+        "trace_chunks": (lambda: probed_texts(event_seq.trace_chunks(F(2, 5), n, fmt), held), 8),
     }
-    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk):
-        collections.deque(streams[verb](), maxlen=0)
-    assert len(held) == (2 if verb == "trace_chunks" else 1) * (n // chunk)  # realize: two parts
+    stream, chunks = streams[verb]
+    cap = 26 if verb == "loop_cell_chunks" else cell_dist.TILE_SLOTS
+    with mock.patch.object(freq_seq, "ROWS_PER_CHUNK", chunk), \
+            mock.patch.object(cell_dist, "TILE_SLOTS", cap):
+        collections.deque(stream(), maxlen=0)
+    # one probe as each chunk after the first is read; realize has two parts
+    assert len(held) == (2 if verb == "trace_chunks" else 1) * (chunks - 1)
     assert set(held) == {0}, held
