@@ -26,8 +26,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, countOf, eq, itemgetter, mul, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, countOf, eq, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import freq_seq
@@ -149,8 +149,13 @@ def _chunks(den: int, nums: list[int], n: int) -> Iterator[array]:
         tile = period * max(size // slots, 1)
         yield from (tile if n - lo >= len(tile) else tile[:n - lo] for lo in range(0, n, len(tile)))
     else:
-        rows, cells = max(size // (m + 1), 64), _cells(den, nums, n)
+        rows, cells = _slot_rows(m), _cells(den, nums, n)
         yield from (array("I", islice(cells, rows)) for _ in range(0, n, rows))
+
+
+def _slot_rows(m: int) -> int:
+    """The rows of m + 1 value slots in a chunk's budget of ``ROWS_PER_CHUNK``, at least 64."""
+    return max(freq_seq.ROWS_PER_CHUNK // (m + 1), 64)
 
 
 def build_cell_sequences(
@@ -218,13 +223,31 @@ def discrepancy(
     sequences: Sequence[CumulativeSequence | Iterable[int]],
     probs: ProbabilityVector | Sequence[Fraction],
 ) -> Fraction:
-    """Exact max over cells and trials of |a_k(t) - t*p_k|."""
+    """Exact max over cells and trials of |a_k(t) - t*p_k|, in integers as
+    |a_k(t)*den - t*nums[k]|.
+
+    A raw column is scanned a trial at a time.  A ``CumulativeSequence`` column
+    steps by 0 or 1, so it is read at its change points: its blocks of equal
+    terms start at trial 1 and at each trial t_i whose term differs from the one
+    before, the i-th holding a(1) + i.  In a block the value falls by num a
+    trial, so its largest is at its start, (a(1) + i)*den - t_i*num, and its
+    smallest at its end: the next block's start value - den + num, or
+    a(n)*den - n*num for the last block.  The arithmetic runs once per block, not
+    once per trial: in a one-hot table of n trials, m columns hold at most n + m blocks.
+    """
+    sequences = list(sequences)
     tables, den, nums = _columns(sequences, probs)
     worst = 0
-    for table, num in zip(tables, nums):
-        # |a_k(t)*den - t*nums[k]| for t = 1, 2, ...; count(0, 0) serves a zero share
-        gaps = map(abs, map(sub, map(mul, table, repeat(den)), count(num, num)))
-        worst = max(worst, max(gaps, default=0))
+    for seq, table, num in zip(sequences, tables, nums):
+        if isinstance(seq, CumulativeSequence) and table:
+            starts = compress(count(1), map(ne, table, chain((-1,), table)))
+            highs = list(map(sub, count(table[0] * den, den), map(mul, starts, repeat(num))))
+            ends = chain(map(add, islice(highs, 1, None), repeat(num - den)),
+                         (table[-1] * den - len(table) * num,))
+            worst = max(worst, max(highs), -min(ends))
+        else:  # |a_k(t)*den - t*nums[k]| for t = 1, 2, ...; count(0, 0) serves a zero share
+            gaps = map(abs, map(sub, map(mul, table, repeat(den)), count(num, num)))
+            worst = max(worst, max(gaps, default=0))
     return Fraction(worst, den)
 
 
@@ -351,18 +374,22 @@ def _pattern(m: int, fmt: str) -> str:
 
 
 def cell_csv(assignment: CellAssignment, sequences: Sequence[CumulativeSequence]) -> str:
-    """The CSV of ``cell_chunks`` for a table, a ``ROWS_PER_CHUNK`` slice at a time.
-    Its columns were checked when they were built; its counts need not agree with its cells."""
-    n, m, size = len(assignment), len(sequences), freq_seq.ROWS_PER_CHUNK
+    """The CSV of ``cell_chunks`` for a table, ``_slot_rows(m)`` rows at a time, as
+    ``_chunks`` sizes its loop's chunks, so the memory it holds beside the text does not
+    grow with m.  Its columns were checked when they were built; its counts need not
+    agree with its cells."""
+    n, m = len(assignment), len(sequences)
+    size = _slot_rows(m)
     if m != assignment.cell_count:
         raise ValueError("one sequence per cell is required")
     columns = [assignment.entries, *(seq.terms for seq in sequences)]
     if len(set(map(len, columns))) > 1:
         raise ValueError("cell sequences must share one length")
-    rows = (freq_seq._numbered(lo + 1, min(lo + size, n) + 1, _pattern(m, "csv"))
-            % tuple(chain.from_iterable(zip(*(column[lo:lo + size] for column in columns))))
-            for lo in range(0, n, size))
-    return ",".join(_header(m)) + "\n" + "".join(rows)
+    text = ",".join(_header(m)) + "\n"
+    for lo in range(0, n, size):  # CPython grows a str held once in place: no slice list beside it
+        text += freq_seq._numbered(lo + 1, min(lo + size, n) + 1, _pattern(m, "csv")) % tuple(
+            chain.from_iterable(zip(*(column[lo:lo + size] for column in columns))))
+    return text
 
 
 def cell_table_from_csv(text: str) -> tuple[CellAssignment, list[CumulativeSequence]]:

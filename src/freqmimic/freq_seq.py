@@ -14,7 +14,9 @@ streams (``canonical_prefix``, ``build_nonconvergent``, ``canonical_chunks``,
 ``nonconvergent_chunks``) are unit-step by construction and are built and
 rendered unchecked, and ``sequence_csv`` renders terms its class has checked.
 ``sequence_from_csv`` reads only the layout ``sequence_csv`` writes, a piece of
-text at a time.
+text at a time.  Its terms step by 0 or 1, so a piece is read at its change points,
+the rows whose term differs from the row before; only pieces whose changed texts
+are not the next counts in canonical digits go through ``int`` and the step check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import countOf, floordiv, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -69,9 +71,9 @@ def _first_non_bit(values: Sequence) -> int | None:
     return next(i for i, value in enumerate(values) if value not in (0, 1))
 
 
-def _first_bad_step(terms: Sequence[int]) -> int | None:
-    """0-based index of the first term not 0 or 1 above its predecessor, a(0) = 0."""
-    return _first_non_bit(list(map(sub, terms, chain((0,), terms))))
+def _first_bad_step(terms: Sequence[int], prev: int = 0) -> int | None:
+    """0-based index of the first term not 0 or 1 above its predecessor, a(0) = ``prev``."""
+    return _first_non_bit(list(map(sub, terms, chain((prev,), terms))))
 
 
 def _typed(terms: Sequence) -> Sequence:
@@ -458,18 +460,33 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
     alone is the empty sequence.  Any other text raises ``ValueError`` naming the
     header or the first row off that layout (a text without its final newline
     names its last row), before any term is checked as a ``CumulativeSequence``.
+
+    A piece in the layout is read at its change points, the rows whose ``a`` text
+    differs from the row before ("0" before row 1): if their texts are exactly
+    a + 1, ..., a + J, with a the term before the piece, its terms step by 1 there
+    and by 0 elsewhere, and are ``accumulate``d from a with no ``int`` or step
+    check.  From the first piece that is not (a leading zero, a bad step, a term
+    past the digit limit), every piece is read with ``int`` and checked for unit
+    steps once the whole text has passed the layout check.
     """
     if not text.startswith(_CSV_HEADER_LINE):
         raise ValueError("missing sequence CSV header")
-    terms, k, start = [], 1, len(_CSV_HEADER_LINE)
+    terms, k, start, a, read = [], 1, len(_CSV_HEADER_LINE), 0, 0  # terms[:read], from change points, end at a
     while start < len(text):
         end = text.find("\n", start + PIECE) + 1 or len(text)  # whole rows, from row k
         fields = text[start:end].split(",")  # row k gives a, a, "k\nk+1" ("k\n" if last)
         column = fields[1::3]
+        layout = (len(fields) % 3 == 1 and fields[2::3] == column
+                  and _numbered(k, k + len(column), "k,k\n") == ",".join(fields[0::3]))
+        if layout and read == len(terms):
+            steps = list(map(ne, column, chain((str(a),), column)))
+            changed = list(compress(column, steps))
+            if "\0".join(changed) == _numbered(a + 1, a + 1 + len(changed), "k\0")[:-1]:
+                terms += islice(accumulate(steps, initial=a), 1, None)
+                k, start, a, read = k + len(column), end, a + len(changed), len(terms)
+                continue
         digits = "".join(column)
-        if not (len(fields) % 3 == 1 and digits.isascii() and digits.isdigit() and all(column)
-                and fields[2::3] == column
-                and _numbered(k, k + len(column), "k,k\n") == ",".join(fields[0::3])):
+        if not (layout and digits.isascii() and digits.isdigit() and all(column)):
             *rows, _ = text[start:end].split("\n")
             bad = next((i for i, row in enumerate(rows, k) if not _is_row(i, row)), k + len(rows))
             raise ValueError(f"inconsistent sequence CSV row {bad}")
@@ -478,10 +495,10 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
         except ValueError:  # a term past int's digit limit is no a(k) <= k; -1 fails where it does
             terms[k - 1:] = map(_digits_int, column)  # over any terms of this piece read so far
         k, start = k + len(column), end
-    bad = _first_bad_step(terms)
+    bad = _first_bad_step(terms[read:], a) if read < len(terms) else None
     if bad is not None:
-        raise _form_error(bad + 1)
-    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # int() built every term
+        raise _form_error(read + bad + 1)
+    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # ints from accumulate or int()
 
 
 def _digits_int(digits: str) -> int:

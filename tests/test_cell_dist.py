@@ -1,6 +1,9 @@
 import copy
+import itertools
 import pickle
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -374,6 +377,50 @@ def test_discrepancy_matches_double_loop(case):
         assert outcome(lambda: discrepancy(sequences[1], probs)) == expected
 
 
+@st.composite
+def unit_step_tables(draw):
+    """Unit-step columns of one length, not one-hot: random, all zero, a step at
+    every trial, or random from a(1) = 0 or a(1) = 1; shares with num = 0 and num = den."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=60))
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "zeros", "steps", "from-0", "from-1"]))
+        bits = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+        if kind in ("zeros", "steps"):
+            bits = [int(kind == "steps")] * n
+        elif n and kind.startswith("from-"):
+            bits[0] = int(kind[-1])
+        columns.append(tuple(itertools.accumulate(bits)))
+    den = draw(st.integers(min_value=1, max_value=12))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=den), min_size=m - 1, max_size=m - 1)))
+    return columns, [F(hi - lo, den) for lo, hi in zip([0, *cuts], [*cuts, den])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=unit_step_tables())
+@example(case=([(0, 1, 1, 2), (0, 0, 0, 0)], [F(1), F(0)]))  # num = den, then num = 0
+@example(case=([(1, 2, 3), (0, 0, 0)], [F(0), F(1)]))  # a step at every trial, then none
+@example(case=([()], [F(1)]))  # no trials
+def test_discrepancy_at_change_points_equals_the_per_trial_formula(case):
+    # a CumulativeSequence column is read at its change points; the same terms as
+    # raw tuples take the per-trial formula
+    columns, probs = case
+    got = discrepancy([CumulativeSequence(column) for column in columns], probs)
+    assert got == discrepancy(columns, probs) == oracle_discrepancy(columns, probs)
+
+
+def test_discrepancy_at_change_points_on_seeded_tables():
+    # greedy tables of 1e5 rows at 3 and 10 cells, weights 1..9 drawn as the
+    # benchmark's cells workload draws them at seed 1
+    rng = random.Random("freqmimic-bench/cells/1")
+    for m in (3, 10):
+        weights = [rng.randint(1, 9) for _ in range(m)]
+        probs = [F(w, sum(weights)) for w in weights]
+        _, sequences = build_cell_sequences(probs, 10**5)
+        assert discrepancy(sequences, probs) == discrepancy([s.terms for s in sequences], probs) <= 1
+
+
 def test_one_hot_trial_validates():
     OneHotTrial((non_event(3), event(3)))
     with pytest.raises(ValueError):
@@ -456,6 +503,23 @@ def test_cell_csv_round_trip():
     back_assignment, back_sequences = cell_table_from_csv(text)
     assert back_assignment == assignment
     assert back_sequences == sequences
+
+
+def test_cell_csv_memory_beside_the_text_is_flat_in_the_cell_count():
+    # slices of a fixed number of value slots: the peak beyond the returned text at
+    # 100 cells stays within twice that at 3 (slices of 8,192 rows held 25x as much)
+    beside = {}
+    for m in (3, 100):
+        table = build_cell_sequences([F(1, m)] * m, 2 * 10**4)
+        tracemalloc.start()
+        try:
+            text = cell_csv(*table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beside[m] = peak - len(text)
+        del text
+    assert beside[100] <= 2 * beside[3]
 
 
 def test_cell_csv_rejects_columns_of_unequal_length():

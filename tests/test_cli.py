@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -505,3 +506,24 @@ def test_repeat_runs_are_byte_identical(argv):
     second = run_cli(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-axioms", "--family", "--language-size", "6"),
+        ("realize", "--p", "1/3", "--n", "200"),
+        ("gen-dist", "--probs", "1/6,1/3,1/2", "--n", "500"),
+        ("compare", "--p", "1/3", "--n", "1000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_the_same_under_a_second_hash_seed(argv):
+    # no output may follow the iteration order of a set or dict of hashed strings
+    stdout = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "freqmimic", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1]

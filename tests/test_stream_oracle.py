@@ -981,6 +981,70 @@ def test_reader_names_a_term_past_the_int_digit_limit_by_its_sequence_error(piec
             assert outcome(lambda: sequence_from_csv(text)) == expected
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """No limit on the digits of an int read from text, so the csv oracle reads a
+    term past the default limit as the int it is."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _with_term(text, k, a):
+    """Sequence CSV text with row k's two term fields written as ``a``."""
+    lines = text.split("\n")
+    lines[k] = f"{k},{a},{a},{k}"
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=cumulative, piece=small_pieces, data=st.data())
+def test_reader_at_change_points_matches_the_oracle(seq, piece, data):
+    # writer text is read at its change points; each variant sends a piece, and every
+    # piece after it, through the per-row read, which must give the oracle's outcome
+    text = oracle_sequence_csv(seq)
+    variants = {"writer": text}
+    if len(seq):
+        row = data.draw(st.integers(min_value=1, max_value=len(seq)), label="row")
+        later = data.draw(st.integers(min_value=min(row + 1, len(seq)), max_value=len(seq)))
+        a = seq.terms[row - 1]
+        bad_step = _with_term(text, row, a + 2)
+        variants.update({
+            "leading-zeros": _with_term(text, row, "0" * data.draw(st.integers(1, 3)) + str(a)),
+            "past-the-limit-in-zeros": _with_term(text, row, f"{ZEROS}{a}"),
+            "past-the-limit": _with_term(text, row, HUGE),
+            "bad-step": bad_step,
+            "layout-after-a-bad-step": _break_row(bad_step, later),
+        })
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        for name, variant in variants.items():
+            got = outcome(lambda: sequence_from_csv(variant))
+            with unlimited_int_digits():
+                expected = read_or_name_the_row(oracle_sequence_from_csv, sequence_layout_error, variant)
+            assert got == expected, name
+
+
+def test_writer_text_is_read_without_int_or_the_step_check():
+    for n in (50, 3 * freq_seq.ROWS_PER_CHUNK + 1):  # one piece, then more than one
+        for p in (F(3, 7), F(0), F(1)):
+            seq = oracle_canonical_prefix(p, n)
+            text = sequence_csv(seq)
+            with mock.patch.object(freq_seq, "_first_bad_step", side_effect=AssertionError), \
+                    mock.patch.object(freq_seq, "_digits_int", side_effect=AssertionError):
+                got = sequence_from_csv(text)
+            assert got == seq
+    # a term past the digit limit in leading zeros still reads, through the per-row read
+    head = ",".join(CSV_HEADER) + "\n"
+    text = f"{head}1,1,1,1\n2,{ZEROS}1,{ZEROS}1,2\n3,2,2,3\n"
+    with mock.patch.object(freq_seq, "_first_bad_step", wraps=freq_seq._first_bad_step) as steps, \
+            mock.patch.object(freq_seq, "_digits_int", wraps=freq_seq._digits_int) as digits:
+        assert sequence_from_csv(text) == CumulativeSequence((1, 1, 2))
+    assert steps.called and digits.called
+
+
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
 def test_index_columns_start_with_the_naive_rows(n):
     naive = "".join(f"{k},{k}\n" for k in range(1, n + 1))
