@@ -144,8 +144,9 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         raise ValueError("choose one of --family or --self-maps")
     if args.self_maps:
         size = 2 if args.language_size is None else args.language_size
-        language = language_core.prefix_language(size)
-        ok = closure_ops.monotonicity_implied(language)
+        # three statements are past the 2-statement cap, so monotonicity_implied rejects
+        # any larger size with its own error without that language being built
+        ok = closure_ops.monotonicity_implied(language_core.prefix_language(min(size, 3)))
         maps = (1 << size) ** (1 << size)
         print(f"monotonicity-implied: {'PASS' if ok else 'FAIL'}")
         print(f"maps checked: {maps}")

@@ -57,7 +57,9 @@ def _normal_critical(alpha: float) -> float:
 
 
 def check_seed(seed: int) -> int:
-    """Return ``seed`` if it is a SplitMix64 state, i.e. in [0, 2**64)."""
+    """Return ``seed`` if it is a SplitMix64 state, i.e. an int (not a bool) in [0, 2**64)."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {type(seed).__name__}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed

@@ -106,11 +106,14 @@ def test_closed_stdout_exits_141_without_traceback():
     proc.stderr.close()
 
 
-def test_gen_seq_csv_golden():
+def test_gen_seq_csv_golden(capsys):
     proc = run_cli("gen-seq", "--p", "1/2", "--n", "8")
     assert proc.returncode == 0
     assert proc.stdout == GEN_SEQ_HALF_8
     assert proc.stderr == ""
+    # 300 rows cross the 100-row blocks the writer renders at once
+    assert main(["gen-seq", "--p", "1/3", "--n", "300"]) == 0
+    assert capsys.readouterr().out.endswith("\n300,100,100,300\n")
 
 
 def test_gen_seq_rejects_out_of_range_probability():
@@ -166,6 +169,8 @@ def test_gen_seq_rejects_bad_lengths(capsys, argv, message):
         ("gen-dist", "--probs", "1/2,1e-10000000", "--n", "2"),
         ("realize", "--p", "1e-10000000", "--n", "2"),
         ("compare", "--p", "1e-10000000", "--n", "100"),
+        # past the self-map cap of 2 statements: rejected before a language is built
+        ("check-axioms", "--self-maps", "--language-size", "1000000000"),
     ],
 )
 def test_bad_flags_are_rejected_before_generation(capsys, verb):
@@ -283,6 +288,9 @@ def test_gen_nonconv(capsys):
         "5,2,2,5",
         "6,2,2,6",
     ]
+    assert main(["gen-nonconv", "--low", "1/3", "--high", "1/2", "--n", "24"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (len(lines), lines[-1]) == (25, "24,8,8,24")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -325,6 +333,9 @@ def test_gen_dist_json(capsys):
         {"trial": 2, "cell": 1, "counts": [1, 1, 0]},
         {"trial": 3, "cell": 3, "counts": [1, 1, 1]},
     ]
+    assert main(["gen-dist", "--probs", "1/6,1/3,1/2", "--n", "20000", "--format", "json"]) == 0
+    last = '{"trial": 20000, "cell": 2, "counts": [3333, 6667, 10000]}'
+    assert capsys.readouterr().out.endswith(f"\n{last}\n")
 
 
 def test_gen_dist_csv_header(capsys):
@@ -332,6 +343,11 @@ def test_gen_dist_csv_header(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,assigned_cell,a_1,a_2"
     assert lines[1:] == ["1,1,1,0", "2,2,1,1"]
+    # last rows across chunks of whole 6-row periods, and of a 16,411-row period that is one tile
+    for probs, n, last in [("1/6,1/3,1/2", "40000", "40000,3,6667,13333,20000"),
+                           ("1/16411,16410/16411", "20000", "20000,2,1,19999")]:
+        assert main(["gen-dist", "--probs", probs, "--n", n]) == 0
+        assert capsys.readouterr().out.endswith(f"\n{last}\n")
 
 
 def test_realize_text(capsys):
@@ -353,6 +369,11 @@ def test_realize_json(capsys):
         ],
         "operator": "C({E'_1,E_2},{G})",
     }
+    assert main(["realize", "--p", "1/2", "--n", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"trials": [{"trial": 1, "event": false}, {"trial": 2, "event": true}, '
+        '{"trial": 3, "event": false}, {"trial": 4, "event": true}], '
+        '"operator": "C({E\'_1,E_2,E\'_3,E_4},{G})"}\n')
 
 
 def test_check_axioms_family(capsys):
@@ -397,6 +418,16 @@ CHECK_AXIOMS_BYTES = [
 def test_check_axioms_bytes_are_pinned(capsys, flags, stdout):
     assert main(["check-axioms", *flags]) == 0
     assert capsys.readouterr() == (stdout, "")
+
+
+@pytest.mark.parametrize("size, message", [
+    ("0", "language size must be positive"),
+    ("3", "self-map enumeration is limited to 2 statements"),
+    ("1000000000", "self-map enumeration is limited to 2 statements"),
+])
+def test_self_maps_reject_a_language_size_off_the_cap(capsys, size, message):
+    assert main(["check-axioms", "--self-maps", "--language-size", size]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_check_axioms_flags_are_exclusive(capsys):
@@ -461,6 +492,12 @@ def test_compare_csv(capsys):
         "frequency,prng,-0.7071067811865475,0.01,true,200,42,splitmix64-v1"
     )
     assert len(lines) == 5
+    # the paper's headline: the canonical p = 1/2 design fails the runs test
+    assert main(["compare", "--p", "1/2", "--n", "1000", "--seed", "42"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[2] == "runs,designed,31.575338477995764,0.01,false,1000,,"
+    assert lines[4].endswith(",42,splitmix64-v1")
 
 
 def test_compare_json(capsys):

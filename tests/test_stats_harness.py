@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqmimic import stats_harness
 from freqmimic.cell_dist import build_cell_sequences
 from freqmimic.event_seq import to_binary
 from freqmimic.freq_seq import BinaryTrialSequence, canonical_prefix, truncate_freeze
@@ -18,6 +20,7 @@ from freqmimic.stats_harness import (
     chi_square_cells,
     compare,
     frequency_test,
+    prng_counts,
     reports_csv,
     reports_from_csv,
     runs_test,
@@ -73,6 +76,19 @@ def test_prng_seed_range_edges():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             bernoulli_prng(F(1, 2), 8, seed)
+
+
+@pytest.mark.parametrize("seed, name", [(True, "bool"), (2.0, "float"), (F(3), "Fraction")])
+def test_a_seed_that_is_not_an_int_is_rejected_before_any_stream_is_drawn(seed, name):
+    # True would be written as the CSV seed "True", which reports_from_csv rejects
+    designed = to_binary(canonical_prefix(F(1, 2), 100))
+    calls = [lambda: compare(designed, F(1, 2), seed, 0.01),
+             lambda: bernoulli_prng(F(1, 2), 8, seed),
+             lambda: prng_counts(F(1, 2), 8, seed)]
+    with mock.patch.object(stats_harness, "_splitmix64_chunks", side_effect=AssertionError):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^seed must be an int, got {name}$"):
+                call()
 
 
 def test_prng_one_count_within_six_sigma():

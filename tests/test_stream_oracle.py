@@ -24,7 +24,6 @@ import math
 import pickle
 import random
 import re
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -1461,10 +1460,11 @@ def test_cell_reader_matches_the_per_row_parser_on_any_cell_column(data, m):
 def test_cell_reader_reads_gen_dist_text_from_its_cell_column(probs):
     n = 2 * freq_seq.ROWS_PER_CHUNK + 5
     code, text = run_main(["gen-dist", "--probs", probs, "--n", str(n)])
+    table = cell_dist.build_cell_sequences(cell_dist.parse_probability_vector(probs), n)
     with mock.patch.object(cell_dist, "_table_by_rows", side_effect=AssertionError):
-        assert cell_dist.cell_table_from_csv(text) == cell_dist.build_cell_sequences(
-            cell_dist.parse_probability_vector(probs), n)
+        assert cell_dist.cell_table_from_csv(text) == table
     assert code == 0
+    assert cell_dist.cell_csv(*table) == text  # the library writer writes the CLI's bytes
 
 
 def test_cell_reader_memory_stays_within_the_text_on_a_wide_header_over_short_rows():
@@ -1593,8 +1593,8 @@ def test_gen_dist_tiles_match_the_loop_and_row_writer(case, fmt):
 
 @pytest.mark.parametrize("probs, n", [
     ("1/6,1/3,1/2", 40000),  # 1,365 periods of 6 rows a chunk, five chunks
-    ("1/16411,16410/16411", 20000),  # a period longer than a chunk: the loop's cells
-    ("1/8209,8208/8209", 2 * 8192 + 5),  # the same, ending mid-chunk
+    ("1/16411,16410/16411", 20000),  # a period of 49,233 slots, past a chunk: its own tile
+    ("1/8209,8208/8209", 2 * 8192 + 5),  # the same, ending mid-tile
 ])
 def test_gen_dist_matches_the_loop_at_full_chunks(probs, n):
     rows = loop_rows(cell_dist.parse_probability_vector(probs), n)
@@ -1843,8 +1843,13 @@ def test_closed_form_outcome_is_the_canonical_step(p, k):
 # ------------------------------------------------------------------ CLI bytes
 
 TEN_CELLS = ",".join(["1/10"] * 10)
+TEN_SHARES = "3/28,3/28,1/8,9/56,9/56,1/14,1/28,3/56,1/28,1/7"  # a 56-row period
+TEN_8191 = ",".join(["1/8191"] * 9 + ["8182/8191"])
+TEN_40009 = ",".join(["1/40009"] * 9 + ["40000/40009"])
+FORTY_CELLS = ",".join(["1/40"] * 40)
 
-# sha256 of stdout, recorded from the materializing implementation.
+# sha256 of stdout: every pin on the CLI's bytes.  The first were recorded from the
+# materializing implementation; the 20,000-row and larger ones cross chunk edges.
 GOLDEN = [
     (("gen-seq", "--p", "4093/8191", "--n", "5000"),
      "fc6e626c5e9efeae8c7844343807659617f0290902b093c1cb86c0756169dd6c"),
@@ -1882,16 +1887,69 @@ GOLDEN = [
      "6b9f838b40cd8e2dadefc65be140616c20202531d6bee5daec0836ac771185b2"),
     (("check-axioms", "--self-maps"),
      "6e017e19ce027f5ee2ccfcc552b3625d29f5d082d47b8070a57272971ab6d43c"),
+    # gen-dist routes: chunks hold 8,192 value slots, a row its cell and m counts.  Ten
+    # cells of a 56-row period: 137 full chunks of 13 whole periods, one tile checked once.
+    (("gen-dist", "--probs", TEN_SHARES, "--n", "100000"),
+     "09b70d70ae86dccf58b6f5e1b934e7c2824275e134ec162f9add4bc277b5b6d9"),
+    (("gen-dist", "--probs", TEN_SHARES, "--n", "100000", "--format", "json"),
+     "77fed1271144fc9cd130956277cf50929a93e092d19877b77d96f7ddafa4cbd7"),
+    # a period of up to 2**17 slots is one tile: two cells of a 40,009-row period, and
+    # ten of an 8,191-row one
+    (("gen-dist", "--probs", "1/40009,40008/40009", "--n", "100000"),
+     "6027fb411b22a27c5f55ad0e59246d52ca941d0e3de729eff29b9621b51542d6"),
+    (("gen-dist", "--probs", "1/40009,40008/40009", "--n", "100000", "--format", "json"),
+     "532fb7ff76c274a0619f97481fc97ed472d0c6415c13987a9e8f19fef08d42ff"),
+    (("gen-dist", "--probs", TEN_8191, "--n", "50000"),
+     "dbfbdc3ce287babd7b15dca7bb678ff020c50e0ed336440b1bd35607cfcc36fc"),
+    # past the cap, the loop in chunks of 8192 // (m + 1) = 744 rows
+    (("gen-dist", "--probs", TEN_40009, "--n", "30000"),
+     "c545a530d8d62ef1224d5615f768faffac7c24864c1819624c9169165ab0fa35"),
+    # forty cells of a 40-row period: tiles of 4 periods
+    (("gen-dist", "--probs", FORTY_CELLS, "--n", "20000"),
+     "5970ef7b1324f0d8d2af25588b9882a48d39a6c0bf885a05fdea07c2a5dafb98"),
+    (("gen-dist", "--probs", FORTY_CELLS, "--n", "20000", "--format", "json"),
+     "28984cb4b8bedbf21d51aec92af7a3d09aede28b2482e88492e874e620730a19"),
+    # realize: 20,000 trials cross two chunk edges and the 5-digit numbered blocks;
+    # outcomes from k*num mod den < num at a wide den, p = 0 and 1, and one past two chunks
+    (("realize", "--p", "1/3", "--n", "20000"),
+     "a75a4782dc8647cbd960bf21ceb3c40b1d8e915fa5491d6786d1999e258d3f94"),
+    (("realize", "--p", "1/3", "--n", "20000", "--format", "json"),
+     "3be7fe7dcc084a136b0105946eddcea00ff3c8d0ec94aacfd2079b43cf9ed17d"),
+    (("realize", "--p", "577215/1000003", "--n", "20000"),
+     "7f2f4fec56503cd0b68a1da112d0843cb1c5f5f910b9f90f6e5f2707d593422e"),
+    (("realize", "--p", "0", "--n", "20000", "--format", "json"),
+     "77449401d6528b99c2ad5e0c3244a29253b2748d6c9505ba4e744c6d79da5b96"),
+    (("realize", "--p", "1", "--n", "20000"),
+     "2115faa046729c7a0a63760c5d2a5d9b692adbb67e60a336eaca5df3de144eba"),
+    (("realize", "--p", "4093/8191", "--n", "16385", "--format", "json"),
+     "3c7e1c4b836abd399fc560756c06a5e6bed88fe1a082784094066b718673ce5c"),
+    # pooled rows over two chunks: den past a chunk, a freeze in the second chunk,
+    # p = 0 and 1, and nonconvergent sequences with low = 0 and with high = 1
+    (("gen-seq", "--p", "577215/1000003", "--n", "20000"),
+     "94bc1af97e79c3084cf0a83666d4b01299ac8d25a0830ace45857660a4a54edf"),
+    (("gen-seq", "--p", "5/11", "--n", "20000", "--m", "9000", "--format", "json"),
+     "a0a2bd259b8eee6e346d36dc656c0deaf7153f155257f12f13796c67b51085ee"),
+    (("gen-seq", "--p", "0", "--n", "20000"),
+     "36f75fc3532b7f4a2dc2bef2aa63da61bf9cf7cdb718d60c91a6e1370116d8c1"),
+    (("gen-seq", "--p", "1", "--n", "20000", "--format", "json"),
+     "1ce076559003f03359394ed3030640d6ac9aafd531c5abc900659fbc00eadd94"),
+    (("gen-nonconv", "--low", "0", "--high", "1/2", "--n", "20000"),
+     "9c6d42694085e122377d8aa523cdeb9b1791084fc5912a62d45d32e9047db158"),
+    (("gen-nonconv", "--low", "1/2", "--high", "1", "--n", "20000", "--format", "json"),
+     "bc8397aabb3b4c312af925677078c5b2227133dadb796fe27cfe6deef1451dae"),
 ]
 
 
 def test_cli_stdout_matches_golden_hashes():
+    # in-process through main; a subprocess and a second hash seed are covered by
+    # test_criterion_13_round_trip_and_cli_determinism and
+    # test_stdout_is_the_same_under_a_second_hash_seed
+    mismatches = []
     for argv, digest in GOLDEN:
-        proc = subprocess.run(
-            [sys.executable, "-m", "freqmimic", *argv], capture_output=True
-        )
-        assert proc.returncode == 0, (argv, proc.stderr)
-        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+        code, out, err = run_main_err(argv)
+        if (code, err, hashlib.sha256(out.encode()).hexdigest()) != (0, "", digest):
+            mismatches.append((argv, code, err))
+    assert not mismatches, mismatches
 
 
 class _Sink:
