@@ -14,9 +14,9 @@ streams (``canonical_prefix``, ``build_nonconvergent``, ``canonical_chunks``,
 ``nonconvergent_chunks``) are unit-step by construction and are built and
 rendered unchecked, and ``sequence_csv`` renders terms its class has checked.
 ``sequence_from_csv`` reads only the layout ``sequence_csv`` writes, a piece of
-text at a time.  Its terms step by 0 or 1, so a piece is read at its change points,
-the rows whose term differs from the row before; only pieces whose changed texts
-are not the next counts in canonical digits go through ``int`` and the step check.
+text at a time.  Writer rows are read as fixed-width bytes, their terms' unit
+steps checked a digit column at a time; only text from the first piece that is
+not (a leading zero, a bad step) goes through ``int`` and the step check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import countOf, floordiv, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -166,12 +166,19 @@ def _unchecked(cls: type, field: str, value):
     return obj
 
 
+def check_int(value: int, name: str) -> int:
+    """``value`` if it is an exact int (a bool is not); else a ``ValueError`` naming its type."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
 def check_canonical(p: Fraction | int, n: int, m: int | None = None) -> tuple[int, int]:
     """p's numerator and denominator, once p, n and m pass ``canonical_terms``' checks."""
     p = check_probability(p)
-    if n < 0:
+    if check_int(n, "prefix length") < 0:
         raise ValueError("prefix length must be non-negative")
-    if m is not None and not 1 <= m <= n:
+    if m is not None and not 1 <= check_int(m, "freeze index") <= n:
         raise ValueError("freeze index out of range")
     return p.numerator, p.denominator
 
@@ -461,32 +468,90 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
     header or the first row off that layout (a text without its final newline
     names its last row), before any term is checked as a ``CumulativeSequence``.
 
-    A piece in the layout is read at its change points, the rows whose ``a`` text
-    differs from the row before ("0" before row 1): if their texts are exactly
-    a + 1, ..., a + J, with a the term before the piece, its terms step by 1 there
-    and by 0 elsewhere, and are ``accumulate``d from a with no ``int`` or step
-    check.  From the first piece that is not (a leading zero, a bad step, a term
-    past the digit limit), every piece is read with ``int`` and checked for unit
-    steps once the whole text has passed the layout check.
+    Writer text is read in pieces of equal-width rows (``_fixed_width``) with
+    bytes operations: no row is split, and no ``int`` or step check runs.  From
+    the first piece that is not (a leading zero, a bad step, a row off the
+    layout) to the end, ``_split_rows`` reads the text.
     """
     if not text.startswith(_CSV_HEADER_LINE):
         raise ValueError("missing sequence CSV header")
-    terms, k, start, a, read = [], 1, len(_CSV_HEADER_LINE), 0, 0  # terms[:read], from change points, end at a
+    terms, k, start, a = [], 1, len(_CSV_HEADER_LINE), 0
+    while start < len(text):
+        piece = _fixed_width(text, start, k, a)
+        if piece is None:
+            return _split_rows(text, start, k, terms, a)
+        rows, width, steps = piece
+        terms += islice(accumulate(steps, initial=a), 1, None)
+        k, start, a = k + rows, start + rows * width, terms[-1]
+    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # ints from accumulate
+
+
+def _fixed_width(text: str, start: int, k: int, a: int) -> tuple[int, int, bytearray] | None:
+    """Rows k, k + 1, ... of ``text`` from ``start`` as one piece of equal-width
+    writer rows: their count, their width, and each row's step from the term
+    ``a`` before them.  None if the rows there are not writer rows whose terms
+    step by 0 or 1 in canonical digits.
+
+    While k keeps dk digits and its term da, a row is W = 2*dk + 2*da + 4 bytes,
+    so byte column c of the piece is ``data[c::W]``.  The piece ends where k
+    gains a digit, where the term does (a row ``k,10..0,10..0,k``, looked for
+    from the first row a term growing by 1 a row can reach), or after ``PIECE``
+    bytes.  It must equal the rows of k written with its first term copy in both
+    term slots, and its terms must be ASCII digits with no leading zero.
+
+    Subtracting from the terms' text, as one big int, the digit values of the
+    terms one row up (``a`` zero-filled to da digits above row k) leaves each
+    byte at "0" + d_i - d_(i-1): every text byte is at least 48 and every value
+    at most 9, so no borrow crosses bytes.  "0" keeps a digit, "1" adds one to
+    it and "'" takes it from 9 to 0.  The terms step by 0 or 1 exactly when each
+    digit goes from 9 to 0 where the digit on its left changes and the top digit
+    never does: any other move, left as it is by both translations, breaks that
+    chain on its way up to the top digit.  The last digit's changes are the steps.
+    """
+    dk = len(str(k))
+    da = text.find(",", start + dk + 1) - start - dk - 1  # the digits of row k's term
+    if not 0 < da <= dk or a >= 10 ** da:  # a(k) <= k, and a(k) >= a
+        return None
+    width = 2 * (dk + da) + 4
+    rows = min(10 ** dk - k, PIECE // width or 1, (len(text) - start) // width)
+    wider = ",1" + "0" * da  # the term 10**da, first of da + 1 digits
+    wider = text.find(wider * 2 + ",", start + (10 ** da - a - 1) * width, start + rows * width)
+    if wider >= 0:
+        rows = (wider - start) // width or 1
+    data = text[start:start + rows * width].encode()
+    if len(data) != rows * width:  # a character past ASCII
+        return None
+    expected = bytearray(_numbered(k, k + rows, f"k,{'0' * da},{'0' * da},k\n").encode())
+    digits = bytearray(rows * da)
+    for c in range(dk + 1, dk + 1 + da):
+        expected[c::width] = expected[c + da + 1::width] = digits[c - dk - 1::da] = data[c::width]
+    if expected != data or not digits.isdigit() or da > 1 and b"0" in digits[::da]:
+        return None
+    above = str(a).zfill(da).encode() + digits[:-da]
+    above = above.translate(bytes.maketrans(b"0123456789", bytes(range(10))))
+    moves = int.from_bytes(digits, "big") - int.from_bytes(above, "big")
+    moves = bytearray(moves.to_bytes(len(digits), "big"))
+    carries = moves.translate(bytes.maketrans(b"01'", b"\0\1\1"))
+    steps = carries[da - 1::da]
+    carries[da - 1::da] = bytes(rows)  # shifted one byte on, these face each top digit
+    if moves.translate(bytes.maketrans(b"01'", b"\0\0\1")) != b"\0" + carries[:-1]:
+        return None
+    return rows, width, steps
+
+
+def _split_rows(text: str, start: int, k: int, terms: list[int], a: int) -> CumulativeSequence:
+    """The checked ``terms``, ending at ``a``, then rows k, ... of ``text`` from ``start``
+    a piece at a time: each piece split at its commas, its terms read with ``int``,
+    and those checked for unit steps once the whole text has passed the layout check."""
+    read = len(terms)
     while start < len(text):
         end = text.find("\n", start + PIECE) + 1 or len(text)  # whole rows, from row k
         fields = text[start:end].split(",")  # row k gives a, a, "k\nk+1" ("k\n" if last)
         column = fields[1::3]
-        layout = (len(fields) % 3 == 1 and fields[2::3] == column
-                  and _numbered(k, k + len(column), "k,k\n") == ",".join(fields[0::3]))
-        if layout and read == len(terms):
-            steps = list(map(ne, column, chain((str(a),), column)))
-            changed = list(compress(column, steps))
-            if "\0".join(changed) == _numbered(a + 1, a + 1 + len(changed), "k\0")[:-1]:
-                terms += islice(accumulate(steps, initial=a), 1, None)
-                k, start, a, read = k + len(column), end, a + len(changed), len(terms)
-                continue
         digits = "".join(column)
-        if not (layout and digits.isascii() and digits.isdigit() and all(column)):
+        if not (len(fields) % 3 == 1 and fields[2::3] == column and all(column)
+                and _numbered(k, k + len(column), "k,k\n") == ",".join(fields[0::3])
+                and digits.isascii() and digits.isdigit()):
             *rows, _ = text[start:end].split("\n")
             bad = next((i for i, row in enumerate(rows, k) if not _is_row(i, row)), k + len(rows))
             raise ValueError(f"inconsistent sequence CSV row {bad}")
@@ -495,10 +560,10 @@ def sequence_from_csv(text: str) -> CumulativeSequence:
         except ValueError:  # a term past int's digit limit is no a(k) <= k; -1 fails where it does
             terms[k - 1:] = map(_digits_int, column)  # over any terms of this piece read so far
         k, start = k + len(column), end
-    bad = _first_bad_step(terms[read:], a) if read < len(terms) else None
+    bad = _first_bad_step(terms[read:], a)
     if bad is not None:
         raise _form_error(read + bad + 1)
-    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # ints from accumulate or int()
+    return _unchecked(CumulativeSequence, "terms", tuple(terms))  # ints from int()
 
 
 def _digits_int(digits: str) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import countOf, ne
 from typing import Iterator, NamedTuple, Sequence
 
-from .freq_seq import BinaryTrialSequence, check_canonical, check_probability
+from .freq_seq import BinaryTrialSequence, check_canonical, check_int, check_probability
 
 PRNG_VERSION = "splitmix64-v1"
 
@@ -58,9 +58,7 @@ def _normal_critical(alpha: float) -> float:
 
 def check_seed(seed: int) -> int:
     """Return ``seed`` if it is a SplitMix64 state, i.e. an int (not a bool) in [0, 2**64)."""
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {type(seed).__name__}")
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= check_int(seed, "seed") <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
@@ -81,7 +79,7 @@ def bernoulli_prng(p: Fraction | int, n: int, seed: int) -> BinaryTrialSequence:
 
 
 def _check_trials(n: int) -> int:
-    if n < 0:
+    if check_int(n, "trial count") < 0:
         raise ValueError("trial count must be non-negative")
     return n
 

@@ -12,7 +12,9 @@ from freqmimic.freq_seq import (
     FrequencyPoint,
     backshift_variant,
     build_nonconvergent,
+    canonical_chunks,
     canonical_prefix,
+    canonical_terms,
     check_cumulative_form,
     check_probability,
     count_phase_switches,
@@ -113,6 +115,18 @@ def test_canonical_prefix_rejects_bad_arguments():
         canonical_prefix(F(3, 2), 4)
     with pytest.raises(ValueError):
         canonical_prefix(F(1, 2), -1)
+
+
+@pytest.mark.parametrize("bad, name", [(True, "bool"), (2.0, "float"), (F(3), "Fraction")])
+def test_canonical_lengths_and_freeze_indexes_must_be_ints(bad, name):
+    with pytest.raises(ValueError, match=f"^prefix length must be an int, got {name}$"):
+        canonical_prefix(F(1, 2), bad)
+    with pytest.raises(ValueError, match=f"^prefix length must be an int, got {name}$"):
+        canonical_chunks(F(1, 2), bad, None, "csv")
+    with pytest.raises(ValueError, match=f"^freeze index must be an int, got {name}$"):
+        canonical_terms(F(1, 2), 4, bad)
+    with pytest.raises(ValueError, match=f"^freeze index must be an int, got {name}$"):
+        canonical_chunks(F(1, 2), 4, bad, "csv")
 
 
 @given(

@@ -91,6 +91,17 @@ def test_a_seed_that_is_not_an_int_is_rejected_before_any_stream_is_drawn(seed, 
                 call()
 
 
+@pytest.mark.parametrize("n, name", [(True, "bool"), (2.0, "float"), (F(3), "Fraction")])
+def test_a_trial_count_that_is_not_an_int_is_rejected_before_any_stream_is_drawn(n, name):
+    # True once counted as BitCounts(n=True, ...), and 2.0 failed in the lane packing
+    with mock.patch.object(stats_harness, "_splitmix64_chunks", side_effect=AssertionError):
+        for call in (lambda: bernoulli_prng(F(1, 2), n, 1), lambda: prng_counts(F(1, 2), n, 1)):
+            with pytest.raises(ValueError, match=f"^trial count must be an int, got {name}$"):
+                call()
+    with pytest.raises(ValueError, match=f"^prefix length must be an int, got {name}$"):
+        stats_harness.canonical_counts(F(1, 2), n)
+
+
 def test_prng_one_count_within_six_sigma():
     got = bernoulli_prng(F(1, 2), 10**5, 42)
     assert got.ones == 50064

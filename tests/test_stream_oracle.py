@@ -1042,6 +1042,133 @@ def test_writer_text_is_read_without_int_or_the_step_check():
             mock.patch.object(freq_seq, "_digits_int", wraps=freq_seq._digits_int) as digits:
         assert sequence_from_csv(text) == CumulativeSequence((1, 1, 2))
     assert steps.called and digits.called
+    # at bench size k gains digits at 10**5 and 10**6, and a(k) a hundred rows after it
+    # (p = 999/1000) or with it (p = 1); no piece goes to the split rows
+    for p in (F(999, 1000), F(1)):
+        text = "".join(freq_seq.canonical_chunks(p, 10**6 + 1, None, "csv"))
+        with mock.patch.object(freq_seq, "_split_rows", side_effect=AssertionError):
+            got = sequence_from_csv(text)
+        assert got.terms == tuple(canonical_terms(p, 10**6 + 1))
+
+
+_ROW_RE = re.compile(r"([0-9]+),([0-9]+),\2,([0-9]+)")
+
+
+def fast_sequence_layout_error(text):
+    """``sequence_layout_error`` with one compiled pattern for every row, for long texts."""
+    lines = text.split("\n")
+    if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER):
+        return "missing sequence CSV header"
+    for k, line in enumerate(lines[1:], 1):
+        if k == len(lines) - 1:  # the piece after the final newline
+            return None if not line else f"inconsistent sequence CSV row {k}"
+        row = _ROW_RE.fullmatch(line)
+        if not row or row[1] != str(k) or row[3] != str(k):
+            return f"inconsistent sequence CSV row {k}"
+
+
+# Row counts around each change of k's width.
+_WIDTH_ROWS = [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001]
+_ASCII_TO_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
+
+def _fixed_width_variants(text, row, draw):
+    """Variants of row ``row`` of writer text that the fixed-width read must not take."""
+    lines = text.split("\n")
+    k, a = str(row), lines[row].split(",")[1]
+    t = int(a)
+
+    def with_row(k1, a1, a2, k2):
+        return "\n".join(lines[:row] + [f"{k1},{a1},{a2},{k2}"] + lines[row + 1:])
+
+    def digit_changed(digits):
+        i = draw(st.integers(0, len(digits) - 1))
+        new = draw(st.sampled_from([d for d in "0123456789" if d != digits[i]]))
+        return digits[:i] + new + digits[i + 1:]
+
+    j, d = draw(st.integers(1, 2)), draw(st.integers(1, 9))
+    sep = draw(st.sampled_from([";", "0", " ", ",,", ""]))
+    variants = {
+        # the last digit moves as before, a higher one does not carry with it: 19 -> 30 and
+        # 20 -> 31 at d = 1, 99 -> 190 at d = 9
+        "carry": with_row(k, t + d * 10**j, t + d * 10**j, k),
+        "plus-two": with_row(k, t + 2, t + 2, k),
+        # 10 -> 0 after a 9: the top digit goes from 9 to 0; any such drop is a step down
+        "top-dropped": with_row(k, t % 10 ** (len(a) - 1), t % 10 ** (len(a) - 1), k)
+        if len(a) > 1 else text,
+        "second-copy-top": with_row(k, a, digit_changed(a[:1]) + a[1:], k),
+        "first-copy-top": with_row(k, digit_changed(a[:1]) + a[1:], a, k),
+        "k-first": with_row(digit_changed(k), a, a, k),
+        "k-second": with_row(k, a, a, digit_changed(k)),
+        "comma-1": f"{k}{sep}{a},{a},{k}",
+        "comma-2": f"{k},{a}{sep}{a},{k}",
+        "comma-3": f"{k},{a},{a}{sep}{k}",
+        "leading-zero": with_row(k, "0" + a, "0" + a, k),
+        "non-ascii": with_row(k, a.translate(_ASCII_TO_ARABIC), a.translate(_ASCII_TO_ARABIC), k),
+        "non-ascii-k": with_row(k.translate(_ASCII_TO_ARABIC), a, a, k),
+    }
+    for name in ("comma-1", "comma-2", "comma-3"):
+        variants[name] = "\n".join(lines[:row] + [variants[name]] + lines[row + 1:])
+    variants["newline"] = "\n".join(lines[:row] + [lines[row] + sep + lines[row + 1]] + lines[row + 2:])
+    return {name: variant for name, variant in variants.items() if variant != text}
+
+
+@st.composite
+def fixed_width_cases(draw):
+    """Writer text of n rows around a change of k's width, with terms of density
+    near 0, near 1 or anywhere, so terms cross 9/10 and 99/100 inside a piece; a
+    row to break (often where k or the term gains a digit), and a piece size."""
+    n = draw(st.sampled_from(_WIDTH_ROWS))
+    density = draw(st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.95, 0.99, 1.0]), st.floats(0, 1)))
+    draw_bit = random.Random(draw(st.integers(0, 2**32))).random
+    seq = CumulativeSequence(tuple(itertools.accumulate(int(draw_bit() < density) for _ in range(n))))
+    wider = [seq.terms.index(a) + 1 for a in (10, 100, 1000) if a in seq.terms] + [10, 100, 1000, 10000]
+    wider = [k + d for k in wider for d in (-1, 0, 1) if 1 <= k + d <= n]
+    row = draw(st.one_of(st.integers(1, n), st.sampled_from(wider or [n])))
+    piece = draw(st.sampled_from([freq_seq.PIECE, 64, 500] + [0, 1, 20] * (n <= 101)))
+    return seq, row, piece
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fixed_width_cases(), data=st.data())
+def test_fixed_width_read_matches_the_oracle(case, data):
+    seq, row, piece = case
+    text = oracle_sequence_csv(seq)
+    variants = _fixed_width_variants(text, row, data.draw)
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        with mock.patch.object(freq_seq, "_split_rows", side_effect=AssertionError):
+            assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == seq
+        for name, variant in variants.items():
+            with mock.patch.object(freq_seq, "_split_rows", wraps=freq_seq._split_rows) as split:
+                got = outcome(lambda: sequence_from_csv(variant))
+            error = fast_sequence_layout_error(variant)
+            expected = outcome(lambda: oracle_sequence_from_csv(variant)) if error is None else (
+                ValueError, error)
+            assert got == expected, name
+            assert split.called, name  # none of them is read as writer text
+
+
+@pytest.mark.parametrize("piece", [0, 20, freq_seq.PIECE])
+@pytest.mark.parametrize("prev, bad", [(19, 30), (20, 31), (99, 190), (9, 0), (99, 101), (10, 1)])
+def test_fixed_width_read_rejects_a_step_that_keeps_the_last_digit(piece, prev, bad):
+    # each term steps by 0 or 1 up to ``prev`` at row prev + 1, then row prev + 2 holds ``bad``
+    terms = [0, *range(prev + 1), bad, bad]
+    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{k},{a},{a},{k}\n" for k, a in enumerate(terms, 1))
+    with mock.patch.object(freq_seq, "PIECE", piece):
+        assert outcome(lambda: sequence_from_csv(text)) == (
+            ValueError, f"not a cumulative-success sequence at index {prev + 3}")
+
+
+@pytest.mark.parametrize("piece", [0, 20, freq_seq.PIECE])
+def test_terms_with_leading_zeros_are_read_by_the_split_rows(piece):
+    # from row 10 on, each term is written zero-filled to two digits
+    terms = [k // 3 for k in range(1, 300)]
+    texts = [str(a).zfill(1 + (k >= 10)) for k, a in enumerate(terms, 1)]
+    text = ",".join(CSV_HEADER) + "\n" + "".join(f"{k},{a},{a},{k}\n" for k, a in enumerate(texts, 1))
+    with mock.patch.object(freq_seq, "PIECE", piece), \
+            mock.patch.object(freq_seq, "_split_rows", wraps=freq_seq._split_rows) as split:
+        assert sequence_from_csv(text) == oracle_sequence_from_csv(text) == CumulativeSequence(terms)
+    assert split.call_args[0][2] == 10  # rows 1 to 9 are read as writer text
 
 
 @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 12345])
